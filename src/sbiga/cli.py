@@ -8,7 +8,7 @@ for compatibility with driver scripts.
 import argparse
 import sys
 
-from .errors import ConfigError, SbigaError
+from .errors import SbigaError
 from .harness import CaseConfig, run_case, verify_case, export_case
 
 
@@ -91,10 +91,10 @@ def main(argv=None):
             for p in paths:
                 print(p)
             return 0
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
     except SbigaError as exc:
+        if exc.tag == "config-error":
+            print("config error: %s" % exc, file=sys.stderr)
+            return 2
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

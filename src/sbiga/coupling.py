@@ -128,31 +128,25 @@ def asg1_coefficients(domain, interface):
 def verify_asg1(domain, interface, coeffs, samples=50):
     """Max norm of the AS-G1 identity residual at ``samples`` points."""
     ts = np.linspace(0.0, 1.0, samples)
-    worst = 0.0
+    beta = coeffs.beta_at(ts)[:, None]
     if interface.kind == "radial":
         pl = domain.patches[interface.left]
         pr = domain.patches[interface.right]
         _, tl = pl.curve.eval_one(1.0, nders=1)
         _, tr = pr.curve.eval_one(0.0, nders=1)
         axial = pl.c1 * (pl.curve.eval_one(1.0) - pl.x0)
-        for t in ts:
-            q = pl.c1 * t + pl.c2
-            r = coeffs.alphaR * q * tl - coeffs.alphaL * q * tr + coeffs.beta_at(t) * axial
-            worst = max(worst, np.hypot(*r))
-        return worst
-    pa = domain.patches[interface.left]
-    pb = domain.patches[interface.right]
-    qB1 = pb.c1 + pb.c2
-    for t in ts:
-        x, dx = pa.curve.eval(np.array([t]), nders=1)
-        x, dx = x[0], dx[0]
+        q = (pl.c1 * ts + pl.c2)[:, None]
+        r = coeffs.alphaR * q * tl - coeffs.alphaL * q * tr + beta * axial
+    else:
+        pa = domain.patches[interface.left]
+        pb = domain.patches[interface.right]
+        x, dx = pa.curve.eval(ts, nders=1)
         r = (
             coeffs.alphaR * pa.c1 * (x - pa.x0)
             + coeffs.alphaL * pb.c1 * (x - pb.x0)
-            + coeffs.beta_at(t) * qB1 * dx
+            + beta * (pb.c1 + pb.c2) * dx
         )
-        worst = max(worst, np.hypot(*r))
-    return worst
+    return float(np.max(np.hypot(r[:, 0], r[:, 1])))
 
 
 # ----------------------------------------------------------------------
@@ -367,109 +361,82 @@ def build_m0(uspace, domain=None):
 # MJ: normal-derivative jump Gram matrix
 
 
-def _interface_sides(domain, itf):
-    """(patch, edge-parametric mapper, normal direction) for both sides."""
-    if itf.kind == "radial":
-        sideL = (itf.left, lambda t: (1.0, t), np.array([1.0, 0.0]))
-        sideR = (itf.right, lambda t: (0.0, t), None)
-    else:
-        sideL = (itf.left, lambda t: (t, 1.0), np.array([0.0, 1.0]))
-        sideR = (itf.right, lambda t: (1.0 - t, 1.0), None)
-    return sideL, sideR
-
-
 def _interface_quadrature(domain, itf, nq):
     """(params t, weights including the 1D arc measure)."""
+    patch = domain.patches[itf.left]
+    kv = patch.radial if itf.kind == "radial" else patch.curve.kv
+    rules = [gauss_points(nq, a, b) for _, a, b in kv.spans()]
+    ts, ws = (np.concatenate(part) for part in zip(*rules))
     if itf.kind == "radial":
-        patch = domain.patches[itf.left]
-        spans = patch.radial.spans()
-        speed = patch.c1 * np.hypot(*(itf.corner - patch.x0))
-        ts, ws = [], []
-        for _, a, b in spans:
-            x, w = gauss_points(nq, a, b)
-            ts.append(x)
-            ws.append(w * speed)
-        return np.concatenate(ts), np.concatenate(ws)
-    edge = domain.patches[itf.left].outer_edge_curve()
-    ts, ws = [], []
-    for _, a, b in edge.kv.spans():
-        x, w = gauss_points(nq, a, b)
-        _, d1 = edge.eval(x, nders=1)
-        ts.append(x)
-        ws.append(w * np.hypot(d1[:, 0], d1[:, 1]))
-    return np.concatenate(ts), np.concatenate(ws)
+        return ts, ws * (patch.c1 * np.hypot(*(itf.corner - patch.x0)))
+    _, d1 = patch.outer_edge_curve().eval(ts, nders=1)
+    return ts, ws * np.hypot(d1[:, 0], d1[:, 1])
 
 
-def _jump_rows(uspace, m0res, itf, ts):
-    """Jump of n_L . grad over coupled columns at interface params ts.
+def _point_rows(idx, vals, N):
+    """Sparse (npts, N) operator with row r = sum_k vals[r, k] e_{idx[r, k]}
+    over the entries with idx >= 0, kept in the given order."""
+    keep = idx >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((vals[keep], idx[keep], indptr), shape=(len(idx), N))
 
-    Returns (rows (npts, nact), active column indices).
+
+def _interface_trace(uspace, itf, ts):
+    """Both sides of one interface at parameters ts, one batched call each.
+
+    Radial interfaces join the left patch's zeta=1 edge to the right
+    patch's zeta=0 edge along xi = t; outer interfaces join two xi=1 edges
+    with reversed zeta.  Returns (jump, sides): ``jump`` is the sparse
+    (len(ts), N) operator of the normal-derivative jump n . grad(left) -
+    n . grad(right) on the uncoupled functions, n the unit normal of the
+    left edge; ``sides`` holds (idx, G) of both sides' physical gradients.
     """
-    domain = uspace.domain
-    M0csr = m0res.matrix.tocsr()
-    (mL, mapL, ndir), (mR, mapR, _) = _interface_sides(domain, itf)
-
-    col_set = {}
-
-    def touched(side_m, z, x):
-        idx, V, G, _ = uspace.physical_eval(side_m, z, x, nders=1)
-        for a in idx:
-            sl = slice(M0csr.indptr[a], M0csr.indptr[a + 1])
-            for c in M0csr.indices[sl]:
-                col_set.setdefault(c, len(col_set))
-        return idx, V, G
-
-    data = []
-    for t in ts:
-        zL, xL = mapL(t)
-        zR, xR = mapR(t)
-        pl = domain.patches[mL]
-        ge = pl.geom_eval(zL, xL)
-        n = np.linalg.solve(ge.jac.T, ndir)
-        n /= np.hypot(*n)
-        data.append((touched(mL, zL, xL), touched(mR, zR, xR), n))
-
-    nact = len(col_set)
-    rows = np.zeros((len(ts), nact))
-    for r, ((idxL, _, GL), (idxR, _, GR), n) in enumerate(data):
-        for sign, idx, G in ((1.0, idxL, GL), (-1.0, idxR, GR)):
-            nd = G @ n
-            for a, v in zip(idx, nd):
-                sl = slice(M0csr.indptr[a], M0csr.indptr[a + 1])
-                for c, coef in zip(M0csr.indices[sl], M0csr.data[sl]):
-                    rows[r, col_set[c]] += sign * coef * v
-    active = np.empty(nact, dtype=int)
-    for c, loc in col_set.items():
-        active[loc] = c
-    return rows, active
+    if itf.kind == "radial":
+        sides = ((itf.left, 1.0, ts), (itf.right, 0.0, ts))
+        ndir = (1.0, 0.0)
+    else:
+        sides = ((itf.left, ts, 1.0), (itf.right, 1.0 - ts, 1.0))
+        ndir = (0.0, 1.0)
+    m, z, x = sides[0]
+    normal = uspace.domain.patches[m].edge_normal(z, x, ndir)[:, :, None]
+    evals = [uspace.physical_eval(m, z, x, nders=1)[::2] for m, z, x in sides]
+    (idxL, GL), (idxR, GR) = evals
+    vals = np.hstack([(GL @ normal)[..., 0], -(GR @ normal)[..., 0]])
+    return _point_rows(np.hstack([idxL, idxR]), vals, uspace.N), evals
 
 
 def assemble_jump_matrix(uspace, m0res, nquad=None):
     """Symmetric PSD Gram matrix of normal-derivative jumps (sparse, N4^2).
 
-    Gauss points are strictly inside knot spans (never at xi=0); default
-    p+2 points per span so a vanishing quadrature jump certifies a vanishing
-    jump function on radial interfaces.
+    MJ = sum over interfaces of C^T W C, with C the jump operator at the
+    interface's quadrature points on the C0 columns of M0 and W their
+    weights.  Each interface's Gram block is a dense product over the
+    columns it touches; the blocks are summed in one COO pass, in interface
+    order.  Gauss points are strictly inside knot spans (never at xi=0);
+    default p+2 points per span so a vanishing quadrature jump certifies a
+    vanishing jump function on radial interfaces.
     """
     domain = uspace.domain
     nq = nquad or (domain.p + 2)
     N4 = m0res.N4
-    MJ = sp.csc_matrix((N4, N4))
+    M0 = m0res.matrix.tocsr()
+    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for itf in domain.interfaces:
         ts, ws = _interface_quadrature(domain, itf, nq)
-        rows, active = _jump_rows(uspace, m0res, itf, ts)
-        local = rows.T @ (rows * ws[:, None])
-        local = sp.coo_matrix(
-            (
-                local.ravel(),
-                (
-                    np.repeat(active, len(active)),
-                    np.tile(active, len(active)),
-                ),
-            ),
-            shape=(N4, N4),
-        )
-        MJ = (MJ + local.tocsc()).tocsc()
+        jump = _interface_trace(uspace, itf, ts)[0]
+        # the blocked dense product rounds differently when its columns are
+        # permuted: take them in the order the interface points touch them
+        touched = M0[jump.indices].indices
+        _, first = np.unique(touched, return_index=True)
+        active = touched[np.sort(first)]
+        Ca = (jump @ M0).tocsc()[:, active].toarray()
+        keys.append(np.add.outer(active.astype(np.int64) * N4, active).ravel())
+        vals.append((Ca.T @ (Ca * ws[:, None])).ravel())
+    keys, pos = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.zeros(len(keys))
+    np.add.at(data, pos, np.concatenate(vals))
+    MJ = sp.csc_matrix((data, (keys // N4, keys % N4)), shape=(N4, N4))
+    MJ.eliminate_zeros()
     return MJ
 
 
@@ -656,46 +623,24 @@ def c1_jump_report(cspace, nsamples=50, rng=None):
     """
     rng = rng or np.random.default_rng(2024)
     uspace = cspace.uspace
-    domain = cspace.domain
     Mcsr = cspace.M.tocsr()
+
+    def coupled(idx, vals):
+        return (_point_rows(idx, vals, uspace.N) @ Mcsr).toarray()
+
     report = []
-    for itf in domain.interfaces:
+    for itf in cspace.domain.interfaces:
         ts = rng.uniform(0.02, 0.98, nsamples)
-        (mL, mapL, ndir), (mR, mapR, _) = _interface_sides(domain, itf)
-        jump_max = np.zeros(cspace.N6)
+        interior = [(m, rng.uniform(0.05, 0.95, (25, 2))) for m in (itf.left, itf.right)]
+        jump, sides = _interface_trace(uspace, itf, ts)
+        for m, zx in interior:
+            idx, _, G, _ = uspace.physical_eval(m, zx[:, 0], zx[:, 1], nders=1)
+            sides.append((idx, G))
         scale = np.zeros(cspace.N6)
-        for m in (mL, mR):
-            for _ in range(25):
-                z, x = rng.uniform(0.05, 0.95, 2)
-                idx, V, G, _ = uspace.physical_eval(m, z, x, nders=1)
-                side_gx = np.zeros(cspace.N6)
-                side_gy = np.zeros(cspace.N6)
-                for a, g in zip(idx, G):
-                    sl = slice(Mcsr.indptr[a], Mcsr.indptr[a + 1])
-                    side_gx[Mcsr.indices[sl]] += Mcsr.data[sl] * g[0]
-                    side_gy[Mcsr.indices[sl]] += Mcsr.data[sl] * g[1]
-                scale = np.maximum(scale, np.hypot(side_gx, side_gy))
-        for t in ts:
-            zL, xL = mapL(t)
-            zR, xR = mapR(t)
-            ge = domain.patches[mL].geom_eval(zL, xL)
-            n = np.linalg.solve(ge.jac.T, ndir)
-            n /= np.hypot(*n)
-            row_jump = np.zeros(cspace.N6)
-            for sign, m, z, x in ((1.0, mL, zL, xL), (-1.0, mR, zR, xR)):
-                idx, V, G, _ = uspace.physical_eval(m, z, x, nders=1)
-                gn = G @ n
-                side_gx = np.zeros(cspace.N6)
-                side_gy = np.zeros(cspace.N6)
-                for a, v, g in zip(idx, gn, G):
-                    sl = slice(Mcsr.indptr[a], Mcsr.indptr[a + 1])
-                    cols = Mcsr.indices[sl]
-                    coefs = Mcsr.data[sl]
-                    row_jump[cols] += sign * coefs * v
-                    side_gx[cols] += coefs * g[0]
-                    side_gy[cols] += coefs * g[1]
-                scale = np.maximum(scale, np.hypot(side_gx, side_gy))
-            jump_max = np.maximum(jump_max, np.abs(row_jump))
+        for idx, G in sides:
+            mag = np.hypot(coupled(idx, G[..., 0]), coupled(idx, G[..., 1]))
+            scale = np.maximum(scale, mag.max(axis=0))
+        jump_max = np.abs((jump @ Mcsr).toarray()).max(axis=0)
         # functions with (near-)zero gradients around this interface carry
         # roundoff-level jumps; measure those against the global scale
         floor = max(np.max(scale), 1.0) * 1e-4

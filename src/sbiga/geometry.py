@@ -19,12 +19,8 @@ __all__ = [
     "circle_arc",
     "SBPatch",
     "GeomEval",
-    "sb_eval",
-    "sb_control_net",
     "Interface",
     "BoundaryEdge",
-    "geom_eval",
-    "physical_derivs",
     "MultiPatchDomain",
     "make_domain",
     "validate_star_shape",
@@ -71,20 +67,16 @@ class NurbsCurve:
     def eval(self, ts, nders=0):
         """Curve point (and derivatives up to nders<=2) at parameters ts."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        hom = self.homogeneous()
-        p = self.p
-        A = np.zeros((nders + 1, len(ts), 3))
-        for k, t in enumerate(ts):
-            first, D = ders_basis(self.kv, t, nders)
-            A[:, k, :] = D @ hom[first : first + p + 1]
+        first, D = ders_basis(self.kv, ts, nders)
+        A = D @ self.homogeneous()[np.add.outer(first, np.arange(self.p + 1))]
         W = A[..., 2]
-        out = [A[0, :, :2] / W[0][:, None]]
+        out = [A[:, 0, :2] / W[:, 0, None]]
         if nders >= 1:
-            out.append((A[1, :, :2] - out[0] * W[1][:, None]) / W[0][:, None])
+            out.append((A[:, 1, :2] - out[0] * W[:, 1, None]) / W[:, 0, None])
         if nders >= 2:
             out.append(
-                (A[2, :, :2] - 2.0 * out[1] * W[1][:, None] - out[0] * W[2][:, None])
-                / W[0][:, None]
+                (A[:, 2, :2] - 2.0 * out[1] * W[:, 1, None] - out[0] * W[:, 2, None])
+                / W[:, 0, None]
             )
         return out[0] if nders == 0 else tuple(out)
 
@@ -197,8 +189,9 @@ def circle_arc(center, radius, angle0, angle1, degree=2):
 
 
 class GeomEval:
-    """Geometry data at one parametric point: F, J, det J, and the
-    second-derivative tensor d2[k] = parametric Hessian of F_k."""
+    """Geometry data at parametric points: F, J, det J, and the
+    second-derivative tensor d2[..., k, :, :] = parametric Hessian of F_k.
+    Arrays carry a leading point axis when evaluated at several points."""
 
     __slots__ = ("point", "jac", "det", "d2")
 
@@ -246,22 +239,36 @@ class SBPatch:
         return pts[0] if np.isscalar(zeta) and np.isscalar(xi) else pts
 
     def geom_eval(self, zeta, xi):
-        g, g1, g2 = self.curve.eval_one(zeta, nders=2)
-        qv = float(self.q(xi))
-        if qv == 0.0:
+        """Map, Jacobian and second derivatives at (zeta, xi); scalars or
+        arrays that broadcast against each other."""
+        scalar = np.ndim(zeta) == 0 and np.ndim(xi) == 0
+        zeta, xi = np.broadcast_arrays(np.atleast_1d(zeta), np.atleast_1d(xi))
+        g, g1, g2 = self.curve.eval(zeta, nders=2)
+        qv = self.q(xi)[:, None]
+        if np.any(qv == 0.0):
             raise GeometryError(
                 "Jacobian is singular at the scaling center", tag="singular-jacobian"
             )
-        J = np.empty((2, 2))
-        J[:, 0] = qv * g1
-        J[:, 1] = self.c1 * (g - self.x0)
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        d2 = np.empty((2, 2, 2))
-        for k in range(2):
-            d2[k, 0, 0] = qv * g2[k]
-            d2[k, 0, 1] = d2[k, 1, 0] = self.c1 * g1[k]
-            d2[k, 1, 1] = 0.0
-        return GeomEval(qv * (g - self.x0) + self.x0, J, det, d2)
+        J = np.empty((len(g), 2, 2))
+        J[:, :, 0] = qv * g1
+        J[:, :, 1] = self.c1 * (g - self.x0)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        d2 = np.zeros((len(g), 2, 2, 2))
+        d2[:, :, 0, 0] = qv * g2
+        d2[:, :, 0, 1] = d2[:, :, 1, 0] = self.c1 * g1
+        ge = GeomEval(qv * (g - self.x0) + self.x0, J, det, d2)
+        if scalar:
+            return GeomEval(ge.point[0], J[0], det[0], d2[0])
+        return ge
+
+    def edge_normal(self, zeta, xi, ndir):
+        """Unit normals J^{-T} ndir / |J^{-T} ndir| at points (zeta, xi):
+        ndir = (1, 0) gives the normal of the line zeta = const, (0, 1) that
+        of xi = const, both pointing to increasing parameter."""
+        jac = self.geom_eval(zeta, xi).jac
+        rhs = np.broadcast_to(np.asarray(ndir, dtype=float), jac.shape[:-1])
+        n = np.linalg.solve(np.swapaxes(jac, -1, -2), rhs[..., None])[..., 0]
+        return n / np.hypot(n[..., 0], n[..., 1])[..., None]
 
     def control_net(self, curve=None, radial=None, verify=True):
         """Control net C[i, j] = q(g_j)(C_i - x0) + x0 (g_j radial Greville).
@@ -279,15 +286,14 @@ class SBPatch:
             zs = rng.uniform(0.0, 1.0, 20)
             xs = rng.uniform(0.0, 1.0, 20)
             direct = self.map(zs, xs)
-            hom_w = curve.weights
-            recon = np.empty_like(direct)
-            for k, (z, x) in enumerate(zip(zs, xs)):
-                f1, Dz = ders_basis(curve.kv, z, 0)
-                f2, Dx = ders_basis(radial, x, 0)
-                Bz = Dz[0] * hom_w[f1 : f1 + curve.p + 1]
-                Bz = Bz / Bz.sum()
-                sub = net[f1 : f1 + curve.p + 1, f2 : f2 + radial.p + 1]
-                recon[k] = np.einsum("i,j,ijk->k", Bz, Dx[0], sub)
+            f1, Dz = ders_basis(curve.kv, zs, 0)
+            f2, Dx = ders_basis(radial, xs, 0)
+            ii = np.add.outer(f1, np.arange(curve.p + 1))
+            jj = np.add.outer(f2, np.arange(radial.p + 1))
+            Bz = Dz[:, 0] * curve.weights[ii]
+            Bz = Bz / Bz.sum(axis=1, keepdims=True)
+            sub = net[ii[:, :, None], jj[:, None, :]]
+            recon = np.einsum("ni,nj,nijk->nk", Bz, Dx[:, 0], sub)
             err = np.max(np.abs(recon - direct))
             if err > 1e-10:
                 raise GeometryError(
@@ -315,38 +321,6 @@ class SBPatch:
         q1 = self.c1 + self.c2
         pts = q1 * (self.curve.points - self.x0) + self.x0
         return NurbsCurve(self.curve.kv, pts, self.curve.weights.copy())
-
-
-def sb_eval(patch, zeta, xi):
-    """Functional form of :meth:`SBPatch.map`."""
-    return patch.map(zeta, xi)
-
-
-def sb_control_net(patch):
-    """Functional form of :meth:`SBPatch.control_net`."""
-    return patch.control_net()
-
-
-def geom_eval(patch, zeta, xi):
-    """Functional form of :meth:`SBPatch.geom_eval`."""
-    return patch.geom_eval(zeta, xi)
-
-
-def physical_derivs(patch, zeta, xi, values, grads, hessians):
-    """Push parametric values/grads/Hessians to physical space at one point.
-
-    grads: (k, 2), hessians: (k, 2, 2).  Returns (values, physical grads,
-    physical Hessians).  The Hessian uses the full second-order pullback
-    H = J^{-T} (Hhat - sum_k dphi_k * Hess(F_k)) J^{-1}.
-    """
-    ge = patch.geom_eval(zeta, xi)
-    if abs(ge.det) < 1e-14:
-        raise GeometryError("Jacobian numerically singular", tag="singular-jacobian")
-    Jinv = np.linalg.inv(ge.jac)
-    g_phys = grads @ Jinv  # rows: J^{-T} grad
-    corr = g_phys[:, 0, None, None] * ge.d2[0] + g_phys[:, 1, None, None] * ge.d2[1]
-    H = np.einsum("ki,nkl,lj->nij", Jinv, hessians - corr, Jinv)
-    return values, g_phys, H
 
 
 class Interface:
@@ -489,16 +463,17 @@ def make_domain(patches, bc=None, check_orientation=True, interfaces=None):
 
     # orientation: detJ > 0 sampled
     if check_orientation:
+        zs = np.array([0.12, 0.5, 0.93])
         for k, pa in enumerate(patches):
-            for z in (0.12, 0.5, 0.93):
-                det = pa.geom_eval(z, 0.77).det
-                if det <= 0.0:
-                    raise GeometryError(
-                        "patch %d has non-positive Jacobian (det=%.3e at zeta=%.2f); "
-                        "boundary curves must run with the interior on their right"
-                        % (k, det, z),
-                        tag="topology-error",
-                    )
+            det = pa.geom_eval(zs, 0.77).det
+            if np.any(det <= 0.0):
+                i = int(np.argmax(det <= 0.0))
+                raise GeometryError(
+                    "patch %d has non-positive Jacobian (det=%.3e at zeta=%.2f); "
+                    "boundary curves must run with the interior on their right"
+                    % (k, det[i], zs[i]),
+                    tag="topology-error",
+                )
 
     explicit = interfaces
     group_index = {}
@@ -656,12 +631,9 @@ def validate_star_shape(patch, samples=400, rng=None):
     rng = rng or np.random.default_rng(7)
     zs = rng.uniform(0.0, 1.0, samples)
     xs = rng.uniform(1e-3, 1.0, samples)
-    worst = np.inf
-    for z, x in zip(zs, xs):
-        det = patch.geom_eval(z, x).det
-        denom = x if patch.c2 == 0.0 else float(patch.q(x))
-        worst = min(worst, det / denom)
-    return worst
+    det = patch.geom_eval(zs, xs).det
+    denom = xs if patch.c2 == 0.0 else patch.q(xs)
+    return float(np.min(det / denom))
 
 
 def locate_point(domain, xy, tol=1e-9):

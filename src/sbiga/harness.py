@@ -17,6 +17,9 @@ A case config is a single JSON document:
   "outputs": {"csv": "out.csv", "fields": null, "sample_grid": [9, 9],
               "eval_point": [0, 0]}
 }
+
+Sections with a fixed key set reject unknown keys with a ConfigError that
+names the key's path (e.g. ``study.segmentz``).
 """
 
 import json
@@ -83,10 +86,46 @@ def write_csv(rows, path):
             fh.write(",".join(_fmt(v) for v in row.as_list()) + "\n")
 
 
+# Allowed keys of every section with a fixed key set; maps keyed by user
+# names (bcs.groups, bcs.per_patch, geometry.params) are not checked.
+_SECTION_KEYS = {
+    "": {"description", "geometry", "discretization", "material", "bcs", "loads",
+         "exact", "reference", "study", "outputs"},
+    "geometry": {"builtin", "params"},
+    "discretization": {"p", "r", "quad_order", "interface_quad", "tol_null", "stabilize"},
+    "discretization.stabilize": {"enabled", "fine_segments"},
+    "material": {"E", "nu", "t", "D"},
+    "bcs": {"all", "per_patch", "groups"},
+    "loads": {"surface", "point", "edges"},
+    "loads.point": {"at", "F"},
+    "loads.edges": {"patch", "group", "Q", "M"},
+    "exact": {"builtin"},
+    "reference": {"value", "builtin", "F", "L", "terms"},
+    "study": {"segments"},
+    "outputs": {"csv", "fields", "sample_grid", "eval_point"},
+}
+
+
+def _check_keys(sec, name="", path=""):
+    """Raise ConfigError naming the path of the first unknown key."""
+    for key in sorted(sec):
+        if key not in _SECTION_KEYS[name]:
+            raise ConfigError("unknown config key %r" % (path + key), tag="config-error")
+        child, val = (name + "." + key).lstrip("."), sec[key]
+        if child in _SECTION_KEYS:
+            entries = enumerate(val) if isinstance(val, list) else [(None, val)]
+            for k, entry in entries:
+                if isinstance(entry, dict):
+                    sub = path + key + ("." if k is None else "[%d]." % k)
+                    _check_keys(entry, child, sub)
+
+
 class CaseConfig:
     """Validated case description; raises ConfigError with a path hint."""
 
     def __init__(self, doc):
+        if isinstance(doc, dict):
+            _check_keys(doc)
         self.doc = doc
         geo = self._get("geometry", dict)
         if "builtin" not in geo:
@@ -339,15 +378,16 @@ def _reproduction_error(cspace, which, nsamples=40, rng=None):
     rng = rng or np.random.default_rng(5)
     z = reproduction_vector(cspace, which)
     ctil = cspace.expand(z)
+    npatch = len(cspace.domain.patches)
+    draws = [(rng.integers(0, npatch), *rng.uniform(0.01, 0.99, 2)) for _ in range(nsamples)]
+    ms, zs, xs = (np.array(a) for a in zip(*draws))
     worst = 0.0
-    for _ in range(nsamples):
-        m = rng.integers(0, len(cspace.domain.patches))
-        ze, xe = rng.uniform(0.01, 0.99, 2)
-        idx, V = cspace.uspace.parametric_eval(m, ze, xe, nders=0)[:2]
-        val = ctil[idx] @ V
-        xph, yph = cspace.domain.patches[m].map(ze, xe)
-        target = {"1": 1.0, "x": xph, "y": yph}[which]
-        worst = max(worst, abs(val - target))
+    for m in np.unique(ms):
+        sel = ms == m
+        idx, V = cspace.uspace.parametric_eval(m, zs[sel], xs[sel], nders=0)[:2]
+        xy = cspace.domain.patches[m].map(zs[sel], xs[sel])
+        target = {"1": np.ones(len(idx)), "x": xy[:, 0], "y": xy[:, 1]}[which]
+        worst = max(worst, np.max(np.abs(np.einsum("nk,nk->n", ctil[idx], V) - target)))
     return worst
 
 

@@ -206,7 +206,7 @@ def assemble_load(cspace, loads, quad=None):
 
 def _edge_functional(uspace, patch_idx, val, ftil, order):
     """Accumulate int_edge val * v ds (order 0) or val * dv/dn ds (order 1)
-    over the outer edge of one patch."""
+    over the outer edge of one patch; a callable val(x, y) takes arrays."""
     domain = uspace.domain
     patch = domain.patches[patch_idx]
     edge = patch.outer_edge_curve()
@@ -214,18 +214,16 @@ def _edge_functional(uspace, patch_idx, val, ftil, order):
     for _, a, b in edge.kv.spans():
         ts, ws = gauss_points(nq, a, b)
         _, d1 = edge.eval(ts, nders=1)
-        speed = np.hypot(d1[:, 0], d1[:, 1])
-        for t, w, s in zip(ts, ws, speed):
-            qv = val(*patch.map(t, 1.0)) if callable(val) else val
-            if order == 0:
-                idx, V = uspace.parametric_eval(patch_idx, t, 1.0, nders=0)[:2]
-                ftil[idx] += w * s * qv * V
-            else:
-                ge = patch.geom_eval(t, 1.0)
-                n = np.linalg.solve(ge.jac.T, np.array([0.0, 1.0]))
-                n /= np.hypot(*n)
-                idx, V, G, _ = uspace.physical_eval(patch_idx, t, 1.0, nders=1)
-                ftil[idx] += w * s * qv * (G @ n)
+        qv = val(*patch.map(ts, 1.0).T) if callable(val) else val
+        coef = ws * np.hypot(d1[:, 0], d1[:, 1]) * qv
+        if order == 0:
+            idx, V = uspace.parametric_eval(patch_idx, ts, 1.0, nders=0)[:2]
+        else:
+            n = patch.edge_normal(ts, 1.0, (0.0, 1.0))
+            idx, _, G, _ = uspace.physical_eval(patch_idx, ts, 1.0, nders=1)
+            V = (G @ n[:, :, None])[..., 0]
+        keep = idx >= 0
+        np.add.at(ftil, idx[keep], (coef[:, None] * V)[keep])
 
 
 # ----------------------------------------------------------------------
@@ -314,35 +312,23 @@ def evaluate(solution, points, nders=2):
     """Field values (and physical derivatives) at (patch, zeta, xi) points.
 
     Derivatives require xi > 0; values are defined at xi = 0 through the
-    center functions.
+    center functions.  The points of each patch are evaluated in one batch.
     """
-    cspace = solution.space
-    ctil = solution.ctil
-    us, gs, hs = [], [], []
-    for m, z, x in points:
-        if x == 0.0 and nders > 0:
-            raise GeometryError(
-                "derivatives at the scaling center need xi > 0", tag="singular-jacobian"
-            )
-        if nders == 0:
-            idx, V = cspace.uspace.parametric_eval(m, z, x, nders=0)[:2]
-            us.append(ctil[idx] @ V)
-            continue
-        idx, V, G, H = cspace.uspace.physical_eval(m, z, x, nders=nders)
-        c = ctil[idx]
-        us.append(c @ V)
-        gs.append(c @ G)
-        hs.append(np.einsum("n,nij->ij", c, H) if nders >= 2 else None)
-    us = np.array(us)
+    ms, zs, xs = (np.asarray(a) for a in zip(*points))
+    if nders > 0 and np.any(xs == 0.0):
+        raise GeometryError(
+            "derivatives at the scaling center need xi > 0", tag="singular-jacobian"
+        )
+    out = [np.empty((len(ms),) + shape) for shape in ((), (2,), (2, 2))[: nders + 1]]
+    for m in np.unique(ms):
+        sel = ms == m
+        idx, *parts = solution.space.uspace.physical_eval(m, zs[sel], xs[sel], nders=nders)
+        c = solution.ctil[idx][:, None, :]
+        for arr, part in zip(out, parts):
+            arr[sel] = (c @ part.reshape(part.shape[:2] + (-1,))).reshape(arr[sel].shape)
     if nders == 0:
-        return us
-    return us, np.array(gs), (np.array(hs) if nders >= 2 else None)
-
-
-def evaluate_at_xy(solution, xys, nders=0):
-    """Same as :func:`evaluate` but for physical coordinates."""
-    pts = [locate_point(solution.space.domain, xy) for xy in np.atleast_2d(xys)]
-    return evaluate(solution, pts, nders=nders)
+        return out[0]
+    return out[0], out[1], (out[2] if nders >= 2 else None)
 
 
 def bending_moments(solution, points):

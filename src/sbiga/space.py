@@ -6,7 +6,18 @@ contiguous range of radial indices.  The standard space has one block per
 patch covering all radial indices; the two-mesh stabilized space has a
 coarse block (j <= p) and a fine block (j >= p+1), see :mod:`sbiga.stabilize`.
 
-All heavy quadrature loops are batched per radial span row.
+Every evaluation of the uncoupled basis goes through one path.  The array
+kernels :func:`~sbiga.splines.ders_basis` / ``nurbs_ders_basis`` evaluate
+each block's zeta and radial factors at all parameters of a call at once:
+:meth:`UncoupledSpace.parametric_eval` and
+:meth:`UncoupledSpace.physical_eval` take one point or arrays of points,
+:meth:`UncoupledSpace.quad_tables` whole radial span rows, the batch unit
+of all element loops.  One second-order pullback, :func:`_pullback`, maps
+parametric second derivatives to physical Hessians for both.  Gradients at
+points use the LAPACK inverse of J and the quadrature rows its closed form;
+the two agree to roundoff, and the point form stays because the jump Gram
+matrix MJ is built from it and roundoff-limited results (the finest-mesh
+L2 errors) follow the rounding of MJ's null-space basis.
 """
 
 import numpy as np
@@ -56,12 +67,19 @@ class PatchBlock:
         return ders_basis(self.curve.kv, z, nders)
 
     def radial_window(self, x, nders):
-        """Active radial indices of this block at xi = x and their ders."""
+        """Active radial indices of this block at xi = x and their ders.
+
+        For a scalar x only the functions inside the block's radial range
+        are returned.  For an array of n parameters jloc has shape (n, p+1)
+        and D shape (n, nders+1, p+1); functions outside the range carry
+        jloc = -1 and zero derivatives.
+        """
         first, D = ders_basis(self.radial, x, nders)
-        p = self.radial.p
-        cols = [c for c in range(p + 1) if self.j_lo <= first + c <= self.j_hi]
-        jloc = np.array([first + c - self.j_lo for c in cols], dtype=int)
-        return jloc, D[:, cols]
+        jloc = np.add.outer(first - self.j_lo, np.arange(self.radial.p + 1))
+        inside = (jloc >= 0) & (jloc < self.nj)
+        if np.ndim(x) == 0:
+            return jloc[inside], D[:, inside]
+        return np.where(inside, jloc, -1), np.where(inside[:, None, :], D, 0.0)
 
 
 class UncoupledSpace:
@@ -100,50 +118,68 @@ class UncoupledSpace:
     # pointwise evaluation
 
     def parametric_eval(self, m, z, x, nders=2):
-        """Active flat indices and parametric value/deriv arrays at (z, x)."""
-        idx, V, D10, D01, D20, D11, D02 = [], [], [], [], [], [], []
+        """Active flat indices and parametric value/deriv arrays at (z, x).
+
+        Returns (idx, V, D10, D01, D20, D11, D02); derivatives above
+        ``nders`` are None.  For scalar (z, x) the arrays run over the
+        active functions.  For arrays of n points they have shape (n, K)
+        with the same K at every point; where a multi-block patch has fewer
+        active functions in a block, the extra entries have idx = -1 and
+        zero values.
+        """
+        scalar = np.ndim(z) == 0 and np.ndim(x) == 0
+        z, x = np.broadcast_arrays(np.atleast_1d(z), np.atleast_1d(x))
+        idx, parts = [], []
         for b, blk in enumerate(self.blocks[m]):
             f1, Dz = blk.zeta_ders(z, nders)
             jloc, Dx = blk.radial_window(x, nders)
-            if len(jloc) == 0:
-                continue
-            ii = np.arange(f1, f1 + blk.curve.p + 1)
-            flat = (self.offsets[m][b] + ii[:, None] * blk.nj + jloc[None, :]).ravel()
-            idx.append(flat)
-            V.append(np.outer(Dz[0], Dx[0]).ravel())
-            if nders >= 1:
-                D10.append(np.outer(Dz[1], Dx[0]).ravel())
-                D01.append(np.outer(Dz[0], Dx[1]).ravel())
-            if nders >= 2:
-                D20.append(np.outer(Dz[2], Dx[0]).ravel())
-                D11.append(np.outer(Dz[1], Dx[1]).ravel())
-                D02.append(np.outer(Dz[0], Dx[2]).ravel())
-        out = [np.concatenate(idx), np.concatenate(V)]
-        for part in (D10, D01, D20, D11, D02):
-            out.append(np.concatenate(part) if part else None)
-        return tuple(out)
+            ii = np.add.outer(f1, np.arange(blk.curve.p + 1))
+            flat = self.offsets[m][b] + ii[:, :, None] * blk.nj + jloc[:, None, :]
+            idx.append(np.where(jloc[:, None, :] >= 0, flat, -1).reshape(len(z), -1))
+            parts.append(
+                [
+                    (Dz[:, dz, :, None] * Dx[:, dx, None, :]).reshape(len(z), -1)
+                    for dz, dx in _DERIVS
+                    if dz + dx <= nders
+                ]
+            )
+        out = [np.concatenate(idx, axis=1)]
+        out += [np.concatenate(part, axis=1) for part in zip(*parts)]
+        if scalar:
+            keep = out[0][0] >= 0
+            out = [a[0, keep] for a in out]
+        return tuple(out + [None] * (7 - len(out)))
 
     def physical_eval(self, m, z, x, nders=2):
-        """Active indices with physical gradients/Hessians at (z, x)."""
-        patch = self.domain.patches[m]
+        """Active indices with physical gradients/Hessians at (z, x).
+
+        Returns (idx, V, G, H) with G[..., :] = grad and H[..., :, :] = Hess
+        per active function, over one point or arrays of points as in
+        :meth:`parametric_eval`.
+        """
         idx, V, D10, D01, D20, D11, D02 = self.parametric_eval(m, z, x, nders)
         if nders == 0:
             return idx, V, None, None
-        ge = patch.geom_eval(z, x)
-        if abs(ge.det) < 1e-14:
+        ge = self.domain.patches[m].geom_eval(z, x)
+        if np.any(np.abs(ge.det) < 1e-14):
             raise GeometryError("Jacobian numerically singular", tag="singular-jacobian")
         Jinv = np.linalg.inv(ge.jac)
-        gpar = np.stack([D10, D01], axis=1)
-        gphys = gpar @ Jinv
+        G = np.stack([D10, D01], axis=-1) @ Jinv
         if nders == 1:
-            return idx, V, gphys, None
-        Hpar = np.empty((len(V), 2, 2))
-        Hpar[:, 0, 0] = D20
-        Hpar[:, 0, 1] = Hpar[:, 1, 0] = D11
-        Hpar[:, 1, 1] = D02
-        corr = gphys[:, 0, None, None] * ge.d2[0] + gphys[:, 1, None, None] * ge.d2[1]
-        H = np.einsum("ki,nkl,lj->nij", Jinv, Hpar - corr, Jinv)
-        return idx, V, gphys, H
+            return idx, V, G, None
+        inv = Jinv[..., None, :, :]
+        d2 = ge.d2[..., None, :, :, :]
+        F = {
+            "F1zz": d2[..., 0, 0, 0], "F2zz": d2[..., 1, 0, 0],
+            "F1zx": d2[..., 0, 0, 1], "F2zx": d2[..., 1, 0, 1],
+        }
+        H11, H22, H12 = _pullback(
+            {"D20": D20, "D11": D11, "D02": D02},
+            (inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1]),
+            G[..., 0], G[..., 1], F,
+        )
+        H = np.stack([np.stack([H11, H12], axis=-1), np.stack([H12, H22], axis=-1)], axis=-2)
+        return idx, V, G, H
 
     # ------------------------------------------------------------------
     # batched quadrature tables
@@ -185,31 +221,22 @@ class UncoupledSpace:
             "g2": g2.reshape(S1, nq1, 2),
         }
 
+        # Gauss nodes lie inside spans: one active window per span
         zt = []
         for blk in self.blocks[m]:
-            p = blk.curve.p
-            val = np.empty((S1, 3, p + 1, nq1))
-            idx = np.empty((S1, p + 1), dtype=int)
-            for s in range(S1):
-                for q in range(nq1):
-                    f1, D = blk.zeta_ders(Znodes[s, q], 2)
-                    val[s, :, :, q] = D
-                idx[s] = np.arange(f1, f1 + p + 1)
-            zt.append((idx, val))
+            f1, D = blk.zeta_ders(zflat, 2)
+            val = D.reshape(S1, nq1, 3, -1).transpose(0, 2, 3, 1)
+            idx = np.add.outer(f1[::nq1], np.arange(blk.curve.p + 1))
+            zt.append((idx, np.ascontiguousarray(val)))
 
         xt = []
         for blk in self.blocks[m]:
+            jloc, D = blk.radial_window(Xnodes.ravel(), 2)
             rows = []
             for s in range(S2):
-                jloc = None
-                vals = None
-                for q in range(nq2):
-                    jl, D = blk.radial_window(Xnodes[s, q], 2)
-                    if jloc is None:
-                        jloc = jl
-                        vals = np.empty((3, len(jl), nq2))
-                    vals[:, :, q] = D
-                rows.append((jloc, vals))
+                cols = jloc[s * nq2] >= 0
+                vals = D[s * nq2 : (s + 1) * nq2][:, :, cols].transpose(1, 2, 0)
+                rows.append((jloc[s * nq2, cols], np.ascontiguousarray(vals)))
             xt.append(rows)
 
         return _PatchTables(self, m, zs_spans, xi_spans, Znodes, Zw, Xnodes, Xw, geom, zt, xt)
@@ -309,21 +336,37 @@ class _PatchTables:
         """
         IDX, A = self.row_basis(s2)
         geo = self.row_geometry(s2)
-        det = geo["det"]
-        I11 = geo["J22"] / det
-        I12 = -geo["J12"] / det
-        I21 = -geo["J21"] / det
-        I22 = geo["J11"] / det
+        g = {k: v[:, None, :] for k, v in geo.items()}
+        I11 = g["J22"] / g["det"]
+        I12 = -g["J12"] / g["det"]
+        I21 = -g["J21"] / g["det"]
+        I22 = g["J11"] / g["det"]
         # grad = J^{-T} [D10, D01]
-        GX = I11[:, None, :] * A["D10"] + I21[:, None, :] * A["D01"]
-        GY = I12[:, None, :] * A["D10"] + I22[:, None, :] * A["D01"]
-        # corrected parametric Hessian
-        K11 = A["D20"] - GX * geo["F1zz"][:, None, :] - GY * geo["F2zz"][:, None, :]
-        K12 = A["D11"] - GX * geo["F1zx"][:, None, :] - GY * geo["F2zx"][:, None, :]
-        K22 = A["D02"]
-        # H = J^{-1 T} K J^{-1} with J^{-1} = [[I11, I12], [I21, I22]]
-        a, b, c, d = I11[:, None, :], I12[:, None, :], I21[:, None, :], I22[:, None, :]
-        H11 = a * a * K11 + 2.0 * a * c * K12 + c * c * K22
-        H22 = b * b * K11 + 2.0 * b * d * K12 + d * d * K22
-        H12 = a * b * K11 + (a * d + b * c) * K12 + c * d * K22
+        GX = I11 * A["D10"] + I21 * A["D01"]
+        GY = I12 * A["D10"] + I22 * A["D01"]
+        H11, H22, H12 = _pullback(A, (I11, I12, I21, I22), GX, GY, g)
         return IDX, A["V"], GX, GY, H11, H22, H12, geo
+
+
+# (zeta order, xi order) of V, D10, D01, D20, D11, D02
+_DERIVS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _pullback(A, inv, GX, GY, F):
+    """Physical Hessian H = J^{-T} (Hhat - sum_k dphi/dx_k Hess F_k) J^{-1}.
+
+    Written out for the SB map, whose xi-xi derivatives vanish.  A holds
+    the parametric second derivatives D20, D11, D02, inv the entries
+    (I11, I12, I21, I22) of J^{-1}, GX and GY the physical gradient, F the
+    map's second derivatives F1zz, F2zz, F1zx, F2zx.  All arrays broadcast
+    against each other.  Returns (H11, H22, H12).
+    """
+    K11 = A["D20"] - GX * F["F1zz"] - GY * F["F2zz"]
+    K12 = A["D11"] - GX * F["F1zx"] - GY * F["F2zx"]
+    K22 = A["D02"]
+    # H = J^{-1 T} K J^{-1} with J^{-1} = [[a, b], [c, d]]
+    a, b, c, d = inv
+    H11 = a * a * K11 + 2.0 * a * c * K12 + c * c * K22
+    H22 = b * b * K11 + 2.0 * b * d * K12 + d * d * K22
+    H12 = a * b * K11 + (a * d + b * c) * K12 + c * d * K22
+    return H11, H22, H12

@@ -189,33 +189,42 @@ def eval_deriv(kv, i, t, order):
     return _deriv_value(kv.values, kv.p, i, float(t), order)
 
 
+def _ratio(num, den):
+    """num / den with 0/0 := 0 (elementwise)."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
 def ders_basis(kv, t, nders):
     """All nonzero B-splines and derivatives at t.
 
     Returns (first_index, D) where D[k, j] is the k-th derivative of basis
-    function first_index + j, k = 0..nders, j = 0..p.  Standard triangular
-    algorithm; this is the fast path used by assembly.
+    function first_index + j, k = 0..nders, j = 0..p.  For an array of n
+    parameters, first_index has shape (n,) and D shape (n, nders+1, p+1).
+    Standard triangular algorithm, run over all parameters at once; this is
+    the fast path used by assembly.
     """
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     p = kv.p
     U = kv.values
-    span = kv.span_index(t)
-    ndu = np.zeros((p + 1, p + 1))
+    span = np.clip(np.searchsorted(U, t, side="right") - 1, p, kv.n - 1)
+    ndu = np.zeros((p + 1, p + 1) + t.shape)
     ndu[0, 0] = 1.0
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
+    left = np.zeros((p + 1,) + t.shape)
+    right = np.zeros((p + 1,) + t.shape)
     for j in range(1, p + 1):
         left[j] = t - U[span + 1 - j]
         right[j] = U[span + j] - t
         saved = 0.0
         for rr in range(j):
             ndu[j, rr] = right[rr + 1] + left[j - rr]
-            temp = ndu[rr, j - 1] / ndu[j, rr] if ndu[j, rr] != 0.0 else 0.0
+            temp = _ratio(ndu[rr, j - 1], ndu[j, rr])
             ndu[rr, j] = saved + right[rr + 1] * temp
             saved = left[j - rr] * temp
         ndu[j, j] = saved
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.zeros((2, p + 1))
+    ders = np.zeros((nders + 1, p + 1) + t.shape)
+    ders[0] = ndu[:, p]
+    a = np.zeros((2, p + 1) + t.shape)
     for rr in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -224,48 +233,49 @@ def ders_basis(kv, t, nders):
             rk = rr - k
             pk = p - k
             if rr >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk] if ndu[pk + 1, rk] != 0.0 else 0.0
+                a[s2, 0] = _ratio(a[s1, 0], ndu[pk + 1, rk])
                 d = a[s2, 0] * ndu[rk, pk]
             j1 = 1 if rk >= -1 else -rk
             j2 = k - 1 if rr - 1 <= pk else p - rr
             for j in range(j1, j2 + 1):
-                if ndu[pk + 1, rk + j] != 0.0:
-                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                else:
-                    a[s2, j] = 0.0
-                d += a[s2, j] * ndu[rk + j, pk]
+                a[s2, j] = _ratio(a[s1, j] - a[s1, j - 1], ndu[pk + 1, rk + j])
+                d = d + a[s2, j] * ndu[rk + j, pk]
             if rr <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, rr] if ndu[pk + 1, rr] != 0.0 else 0.0
-                d += a[s2, k] * ndu[rr, pk]
+                a[s2, k] = _ratio(-a[s1, k - 1], ndu[pk + 1, rr])
+                d = d + a[s2, k] * ndu[rr, pk]
             ders[k, rr] = d
             s1, s2 = s2, s1
     rfac = 1.0
     for k in range(1, nders + 1):
         rfac *= p - k + 1
-        ders[k, :] *= rfac
-    return span - p, ders
+        ders[k] *= rfac
+    first = span - p
+    if scalar:
+        return int(first[0]), ders[..., 0]
+    return first, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
 
 
 def nurbs_ders_basis(kv, weights, t, nders):
     """Rational counterpart of :func:`ders_basis` for weights w_i > 0.
 
     N_i = w_i B_i / W with W = sum_j w_j B_j; derivatives by the quotient
-    rule (exact, needed at second order for the H2 bilinear form).
+    rule (exact, needed at second order for the H2 bilinear form).  Same
+    return shapes as :func:`ders_basis`.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights <= 0.0):
         raise SplineError("weights must be strictly positive", tag="invalid-weights")
     first, D = ders_basis(kv, t, nders)
-    w_act = weights[first : first + kv.p + 1]
-    num = D * w_act[None, :]           # derivatives of w_i B_i
-    Wd = num.sum(axis=1)               # derivatives of the weight function
-    R = np.zeros_like(D)
+    w_act = weights[np.add.outer(first, np.arange(kv.p + 1))]
+    num = np.moveaxis(D * w_act[..., None, :], -2, 0)  # derivatives of w_i B_i
+    Wd = num.sum(axis=-1)[..., None]  # derivatives of the weight function
+    R = np.zeros_like(num)
     R[0] = num[0] / Wd[0]
     if nders >= 1:
         R[1] = (num[1] - R[0] * Wd[1]) / Wd[0]
     if nders >= 2:
         R[2] = (num[2] - 2.0 * R[1] * Wd[1] - R[0] * Wd[2]) / Wd[0]
-    return first, R
+    return first, np.moveaxis(R, 0, -2)
 
 
 def eval_nurbs(kv, weights, i, t, order=0):
@@ -381,11 +391,6 @@ class TensorSplineSpace:
             hess[:, 0, 1] = hess[:, 1, 0] = hzx
             hess[:, 1, 1] = hxx
         return BasisEval((zeta, xi), idx, vals, grads, hess)
-
-
-def tensor_eval(space, zeta, xi):
-    """Functional form of :meth:`TensorSplineSpace.eval`."""
-    return space.eval(zeta, xi)
 
 
 _gauss_cache = {}

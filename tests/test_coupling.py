@@ -18,6 +18,7 @@ from sbiga.errors import CouplingError, GeometryError
 from sbiga.geometry import SBPatch, line_curve, make_domain
 from sbiga.models import disk4, fan2, square4, two_blocks_square
 from sbiga.space import UncoupledSpace
+from sbiga.splines import gauss_points
 
 
 def open_fan(degree=3, segments=2):
@@ -232,6 +233,59 @@ class TestJumpMatrix:
         MJ2 = assemble_jump_matrix(us, res, nquad=16).toarray()
         scale = np.max(np.abs(MJ2))
         assert np.max(np.abs(MJ1 - MJ2)) <= 1e-10 * scale
+
+
+def _jump_energy_pointwise(cs, v4, nq):
+    """Interface integral of the squared normal-derivative jump of the C0
+    field M0 v4, one point at a time through physical_eval."""
+    us, domain = cs.uspace, cs.domain
+    ctil = cs.M0 @ v4
+    total = 0.0
+    for itf in domain.interfaces:
+        pl = domain.patches[itf.left]
+        radial = itf.kind == "radial"
+        spans = pl.radial.spans() if radial else pl.curve.kv.spans()
+        for _, a, b in spans:
+            for t, w in zip(*gauss_points(nq, a, b)):
+                if radial:
+                    sides = ((1.0, itf.left, 1.0, t), (-1.0, itf.right, 0.0, t))
+                else:
+                    sides = ((1.0, itf.left, t, 1.0), (-1.0, itf.right, 1.0 - t, 1.0))
+                jac = pl.geom_eval(sides[0][2], sides[0][3]).jac
+                n = np.linalg.solve(jac.T, [1.0, 0.0] if radial else [0.0, 1.0])
+                n /= np.hypot(*n)
+                speed = np.hypot(*jac[:, 1 if radial else 0])
+                jump = 0.0
+                for sign, m, z, x in sides:
+                    idx, _, G, _ = us.physical_eval(m, z, x, nders=1)
+                    jump += sign * (ctil[idx] @ (G @ n))
+                total += w * speed * jump**2
+    return total
+
+
+class TestJumpMatrixOracle:
+    """v^T MJ v equals the pointwise interface integral of the squared jump."""
+
+    @pytest.mark.parametrize("case", ["fan2", "trimmed_hole", "stabilized_square"])
+    def test_quadratic_form(self, case):
+        from sbiga.models import square_with_hole
+        from sbiga.stabilize import CombinedSpaceSpec, build_combined_space
+        from sbiga.trim import assemble_trimmed_domain
+
+        if case == "fan2":
+            cs = build_coupled_space(fan2(degree=3).with_segments(2, 2, 1))
+        elif case == "trimmed_hole":
+            dom = assemble_trimmed_domain(*square_with_hole(degree=3)).with_segments(2, 2, 1)
+            assert any(itf.kind == "outer" for itf in dom.interfaces)
+            cs = build_coupled_space(dom)
+        else:
+            cs = build_combined_space(square4(degree=3), CombinedSpaceSpec(4), 1)
+            assert len(cs.uspace.blocks[0]) == 2
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            v4 = rng.standard_normal(cs.N4)
+            ref = _jump_energy_pointwise(cs, v4, cs.domain.p + 2)
+            assert v4 @ (cs.MJ @ v4) == pytest.approx(ref, rel=1e-12)
 
 
 class TestNullspace:

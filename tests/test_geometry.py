@@ -9,7 +9,6 @@ from sbiga.geometry import (
     line_curve,
     locate_point,
     make_domain,
-    physical_derivs,
     validate_star_shape,
 )
 from sbiga.models import disk4, square4
@@ -157,12 +156,10 @@ class TestPhysicalDerivs:
 
     def test_functional_form(self):
         pa = make_curved_patch()
-        be = pa  # use tensor util through space
-        from sbiga.splines import TensorSplineSpace
+        from sbiga.space import UncoupledSpace
 
-        space = TensorSplineSpace(pa.curve.kv, pa.radial, weights=pa.curve.weights)
-        ev = space.eval(0.4, 0.6)
-        vals, grads, hess = physical_derivs(pa, 0.4, 0.6, ev.values, ev.grads, ev.hessians)
+        us = UncoupledSpace.from_domain(make_domain([pa]))
+        _, vals, grads, hess = us.physical_eval(0, 0.4, 0.6, nders=2)
         assert vals.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(grads.sum(axis=0), 0, atol=1e-9)
         assert np.max(np.abs(hess.sum(axis=0))) <= 1e-7

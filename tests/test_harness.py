@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -52,6 +53,23 @@ class TestCaseConfig:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            CaseConfig.from_file(str(path))
+
+    def test_unknown_key_rejected_with_path(self, tmp_path):
+        doc = dict(SMOOTH, study={"segmentz": [4]})
+        with pytest.raises(ConfigError, match="study.segmentz"):
+            CaseConfig.from_file(write_cfg(tmp_path, doc))
+
+    def test_unknown_key_in_list_entry(self, tmp_path):
+        doc = dict(SMOOTH, loads={"point": [{"at": [0, 0], "f": 1.0}]})
+        with pytest.raises(ConfigError, match=r"loads.point\[0\].f"):
+            CaseConfig.from_file(write_cfg(tmp_path, doc))
+
+    def test_bundled_configs_load(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        paths = sorted(root.glob("configs/*.json")) + sorted(root.glob("perfbench/configs/*.json"))
+        assert paths
+        for path in paths:
             CaseConfig.from_file(str(path))
 
 
@@ -117,6 +135,21 @@ class TestCli:
         doc = dict(SMOOTH, bcs={"all": "bolted"})
         path = write_cfg(tmp_path, doc)
         assert cli_main(["run", path]) == 2
+
+    def test_unknown_key_exit_code_2(self, tmp_path):
+        doc = dict(SMOOTH, study={"segmentz": [4]})
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    def test_coupling_config_error_exit_code_2(self, tmp_path):
+        # one radial span cannot hold the center functions of a clamped
+        # square: build_m0 raises a CouplingError tagged config-error
+        doc = dict(SMOOTH, study={"segments": [1]})
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    def test_bc_on_missing_patch_exit_code_2(self, tmp_path):
+        # apply_bc_tags raises a GeometryError tagged config-error
+        doc = dict(SMOOTH, bcs={"per_patch": {"7": "clamped"}})
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
 
     def test_cli_process_entry(self, tmp_path):
         doc = dict(SMOOTH, study={"segments": [2]})

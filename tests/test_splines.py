@@ -114,6 +114,26 @@ class TestEvalBasis:
                         cox_de_boor(kv.values, p, first + j, t), abs=1e-13
                     )
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_array_path_matches_recursion(self, p):
+        # random points, every breakpoint (t = 0 and t = 1 included), every
+        # regularity, all derivative orders up to min(2, p)
+        rng = np.random.default_rng(10 + p)
+        for r in range(p):
+            kv = make_open_knot_vector(p, 3, r)
+            ts = np.concatenate([rng.uniform(0.0, 1.0, 12), kv.breakpoints()])
+            for nders in range(min(2, p) + 1):
+                first, D = ders_basis(kv, ts, nders)
+                assert first.shape == ts.shape and D.shape == (len(ts), nders + 1, p + 1)
+                for t, f, Dt in zip(ts, first, D):
+                    for k in range(nders + 1):
+                        for j in range(p + 1):
+                            if k == 0:
+                                ref = eval_basis(kv, f + j, t)
+                            else:
+                                ref = eval_deriv(kv, f + j, t, k)
+                            assert Dt[k, j] == pytest.approx(ref, abs=1e-10 * max(1.0, abs(ref)))
+
 
 class TestEvalDeriv:
     def test_hat_slopes(self):
