@@ -194,7 +194,9 @@ class CaseConfig:
     # ------------------------------------------------------------------
 
     def build_base_domain(self):
-        """Unrefined domain with BC tags applied; returns (domain, info)."""
+        """Unrefined domain with BC tags applied; returns (domain, info).
+
+        BC group names and edge-load patch indices are checked against it."""
         geo = self.doc["geometry"]
         name = geo["builtin"]
         params = dict(geo.get("params", {}))
@@ -214,10 +216,23 @@ class CaseConfig:
         for k, v in (self.bcs.get("per_patch") or {}).items():
             bc[int(k)] = v
         for gname, tag in (self.bcs.get("groups") or {}).items():
-            for k in info.get(gname, []):
+            if gname not in info:
+                raise ConfigError(
+                    "unknown bcs.groups name %r; %s defines %s"
+                    % (gname, name, ", ".join(map(repr, sorted(info))) or "no groups"),
+                    tag="config-error",
+                )
+            for k in info[gname]:
                 bc[int(k)] = tag
         if bc:
             apply_bc_tags(domain, bc)
+        npatches = len(domain.patches)
+        for e in self.loads.get("edges", []):
+            if "patch" in e and not 0 <= int(e["patch"]) < npatches:
+                raise ConfigError(
+                    "loads.edges patch %d is not in 0..%d" % (int(e["patch"]), npatches - 1),
+                    tag="config-error",
+                )
         return domain, info
 
     def build_space(self, base_domain, segments):

@@ -275,6 +275,14 @@ def _cond_estimate(A, lu, iters=12, rng=None):
 def solve(A, f, cond=True):
     """Direct sparse solve with one refinement step.
 
+    A is symmetric positive definite by construction (clamped or simply
+    supported plates), so the factorization takes diagonal pivots: it is
+    Cholesky-like and backward stable, and the minimum-degree ordering of
+    A + A^T is used as computed.  Partial pivoting would swap rows, break
+    that symmetric ordering and multiply the fill.  A diagonal entry that is
+    exactly zero still leads to a row swap, and an exactly singular A raises
+    SolverError.
+
     Returns (coeffs, residual, condition estimate).  A residual above
     1e-8*||f|| is reported, not raised: the unstabilized fine meshes of the
     stability study are intentionally ill-conditioned.
@@ -282,8 +290,8 @@ def solve(A, f, cond=True):
     A = sp.csc_matrix(A)
     f = np.asarray(f, dtype=float)
     try:
-        # symmetric-structure ordering: about half the fill-in of COLAMD here
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
         x = lu.solve(f)
         r = f - A @ x
         x = x + lu.solve(r)

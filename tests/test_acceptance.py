@@ -151,7 +151,6 @@ def test_criterion_06_stabilized_point_load(stab_pointload_p3):
 # 7. unstabilized instability reproduction (trend)
 
 
-@pytest.mark.slow
 def test_criterion_07_instability_trend(p5_trend):
     un = p5_trend["unstab"].l2
     st = p5_trend["stab"].l2

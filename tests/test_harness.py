@@ -65,6 +65,26 @@ class TestCaseConfig:
         with pytest.raises(ConfigError, match=r"loads.point\[0\].f"):
             CaseConfig.from_file(write_cfg(tmp_path, doc))
 
+    def test_unknown_bc_group_rejected(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "configs" / "l_bracket.json").read_text())
+        doc["bcs"] = {"groups": {"hole_arcz": "clamped"}}
+        cfg = CaseConfig.from_file(write_cfg(tmp_path, doc))
+        with pytest.raises(ConfigError, match="'hole_arcz'.*'hole_arcs'") as exc:
+            cfg.build_base_domain()
+        assert exc.value.tag == "config-error"
+
+    def test_edge_load_patch_range_checked(self, tmp_path):
+        doc = dict(SMOOTH, loads={"edges": [{"patch": 7, "Q": 1.0}]})
+        cfg = CaseConfig.from_file(write_cfg(tmp_path, doc))
+        with pytest.raises(ConfigError, match="patch 7") as exc:
+            cfg.build_base_domain()
+        assert exc.value.tag == "config-error"
+        doc = dict(SMOOTH, loads={"edges": [{"patch": 3, "Q": 1.0}]})
+        cfg = CaseConfig.from_file(write_cfg(tmp_path, doc))
+        _, info = cfg.build_base_domain()
+        assert cfg.load_spec(info).edge_loads == [(3, 1.0)]
+
     def test_bundled_configs_load(self):
         root = pathlib.Path(__file__).resolve().parents[1]
         paths = sorted(root.glob("configs/*.json")) + sorted(root.glob("perfbench/configs/*.json"))
@@ -149,6 +169,16 @@ class TestCli:
     def test_bc_on_missing_patch_exit_code_2(self, tmp_path):
         # apply_bc_tags raises a GeometryError tagged config-error
         doc = dict(SMOOTH, bcs={"per_patch": {"7": "clamped"}})
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    def test_unknown_bc_group_exit_code_2(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "configs" / "l_bracket.json").read_text())
+        doc["bcs"] = {"groups": {"hole_arcz": "clamped"}}
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    def test_edge_load_on_missing_patch_exit_code_2(self, tmp_path):
+        doc = dict(SMOOTH, loads={"edges": [{"patch": 7, "Q": 1.0}]})
         assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
 
     def test_cli_process_entry(self, tmp_path):

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sbiga.coupling import build_coupled_space, reproduction_vector
 from sbiga.errors import AssemblyError, GeometryError, SolverError
@@ -22,6 +25,7 @@ from sbiga.plate import (
     solve,
     solve_plate,
 )
+from sbiga.stabilize import CombinedSpaceSpec, build_combined_space
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +166,76 @@ class TestSolve:
         A = sp.csc_matrix(np.zeros((3, 3)))
         with pytest.raises(SolverError):
             solve(A, np.ones(3))
+
+    def test_singular_rank_one_raises(self):
+        A = sp.csc_matrix(np.ones((2, 2)))
+        with pytest.raises(SolverError):
+            solve(A, np.array([1.0, 2.0]))
+
+    def test_zero_diagonal_swaps_rows(self):
+        A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        x, res, _ = solve(A, np.array([2.0, 3.0]))
+        assert np.array_equal(x, [3.0, 2.0])
+        assert res == 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _plate_system(p, s, stabilized=False, point_load=False):
+    """Stiffness matrix and load of the clamped cos2 square (or of the
+    simply supported point-loaded square) as the acceptance studies build them.
+    Each system is assembled once and shared by the tests below."""
+    if point_load:
+        base = square4(degree=p, offset=(0.0, 0.0), bc={"all": "simply_supported"})
+        mat, loads = PlateMaterial(E=1e6, nu=0.0, D=1.0), LoadSpec(point_loads=[((0.0, 0.0), 1.0)])
+    else:
+        base = square4(degree=p, bc={"all": "clamped"})
+        mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
+        loads = LoadSpec(surface=manufactured_rhs(cos2_square(), mat.D))
+    if stabilized:
+        cs = build_combined_space(base, CombinedSpaceSpec(s), 1)
+    else:
+        cs = build_coupled_space(base.with_segments(s, s, 1))
+    return sp.csc_matrix(assemble_stiffness(cs, mat)), assemble_load(cs, loads)
+
+
+def _solver_lu(monkeypatch, A, f):
+    """Run ``solve`` and return the LU object of its one splu call."""
+    calls = []
+    splu = spla.splu
+
+    def wrapped(*args, **kw):
+        calls.append(splu(*args, **kw))
+        return calls[-1]
+
+    monkeypatch.setattr(spla, "splu", wrapped)
+    solve(A, f, cond=False)
+    assert len(calls) == 1
+    return calls[0]
+
+
+class TestSolverPivoting:
+    """The SPD plate matrix is factored with diagonal pivots, so the
+    symmetric minimum-degree ordering survives (perm_r == perm_c)."""
+
+    def test_partial_pivoting_oracle(self):
+        A, f = _plate_system(5, 8, stabilized=True)
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        ref = lu.solve(f)
+        ref = ref + lu.solve(f - A @ ref)
+        x, _, _ = solve(A, f, cond=False)
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case, max_fill", [
+        (dict(p=4, s=8), 2.0),
+        (dict(p=5, s=8, stabilized=True), None),
+        (dict(p=3, s=10, point_load=True), None),
+    ], ids=["p4-s8", "stab-p5-s8", "point-load-s10"])
+    def test_diagonal_pivots_kept(self, monkeypatch, case, max_fill):
+        A, f = _plate_system(**case)
+        lu = _solver_lu(monkeypatch, A, f)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        if max_fill is not None:
+            assert (lu.L.nnz + lu.U.nnz) / A.nnz < max_fill
 
 
 class TestEvaluate:
