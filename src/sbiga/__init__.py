@@ -24,6 +24,7 @@ from .coupling import (
     asg1_coefficients,
     verify_asg1,
     build_coupled_space,
+    c1_basis,
     nullspace,
     reproduction_vector,
     c1_jump_report,

@@ -3,14 +3,21 @@
 The chain follows six steps: prune the two innermost radial layers of every
 singular center group, merge interface traces continuously, append the three
 scaling-center functions of each singular group, remove layers that violate
-essential boundary conditions (all encoded in M0), assemble the Gram matrix
-MJ of normal-derivative jumps across all interfaces, and span the C1 space
-with an orthonormal basis M1 of its null space.  System matrices in the
-coupled basis are congruences A = M1^T M0^T Atilde M0 M1.
+essential boundary conditions (all encoded in M0), assemble the weighted
+rows C of normal-derivative jumps across all interfaces (MJ = C^T C), and
+span the C1 space with a sparse basis M1 of the null space of C, from a
+column-pivoted QR of its active columns.  M1 has unit columns but is not
+orthonormal.  System matrices in the coupled basis are congruences
+A = M1^T (M0^T Atilde M0) M1.  The dense eigenvector basis of MJ,
+:func:`nullspace`, is kept as the reference that the tests compare with.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import qr, solve_triangular
 
 from .errors import CouplingError, GeometryError
 from .space import UncoupledSpace
@@ -22,7 +29,9 @@ __all__ = [
     "verify_asg1",
     "scaling_center_functions",
     "build_m0",
+    "assemble_jump_rows",
     "assemble_jump_matrix",
+    "c1_basis",
     "nullspace",
     "gram_rank",
     "CoupledSpace",
@@ -32,6 +41,9 @@ __all__ = [
 ]
 
 _ESSENTIAL_LAYERS = {"clamped": 2, "simply_supported": 1, "free": 0}
+# Least ratio of the smallest kept to the largest dropped QR pivot of
+# c1_basis; every level of the bundled configs shows at least 2.8e10.
+_RANK_GAP = 1e6
 
 
 # ----------------------------------------------------------------------
@@ -405,43 +417,45 @@ def _interface_trace(uspace, itf, ts):
     return _point_rows(np.hstack([idxL, idxR]), vals, uspace.N), evals
 
 
-def assemble_jump_matrix(uspace, m0res, nquad=None):
-    """Symmetric PSD Gram matrix of normal-derivative jumps (sparse, N4^2).
+def assemble_jump_rows(uspace, m0res, nquad=None):
+    """Jump rows C of the C0 space (sparse, npts x N4), one walk over the
+    interfaces.
 
-    MJ = sum over interfaces of C^T W C, with C the jump operator at the
-    interface's quadrature points on the C0 columns of M0 and W their
-    weights.  Each interface's Gram block is a dense product over the
-    columns it touches; the blocks are summed in one COO pass, in interface
-    order.  Gauss points are strictly inside knot spans (never at xi=0);
-    default p+2 points per span so a vanishing quadrature jump certifies a
-    vanishing jump function on radial interfaces.
+    Row k is sqrt(w_k) times the normal-derivative jump at interface
+    quadrature point k, on the columns of M0, so that ||C v||^2 is the jump
+    energy of the C0 field M0 v and MJ = C^T C.  Gauss points are strictly
+    inside knot spans (never at xi=0); default p+2 points per span so a
+    vanishing quadrature jump certifies a vanishing jump function on radial
+    interfaces.
     """
     domain = uspace.domain
     nq = nquad or (domain.p + 2)
-    N4 = m0res.N4
-    M0 = m0res.matrix.tocsr()
-    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    jumps, sqrt_w = [sp.csr_matrix((0, uspace.N))], [np.empty(0)]
     for itf in domain.interfaces:
         ts, ws = _interface_quadrature(domain, itf, nq)
-        jump = _interface_trace(uspace, itf, ts)[0]
-        # the blocked dense product rounds differently when its columns are
-        # permuted: take them in the order the interface points touch them
-        touched = M0[jump.indices].indices
-        _, first = np.unique(touched, return_index=True)
-        active = touched[np.sort(first)]
-        Ca = (jump @ M0).tocsc()[:, active].toarray()
-        keys.append(np.add.outer(active.astype(np.int64) * N4, active).ravel())
-        vals.append((Ca.T @ (Ca * ws[:, None])).ravel())
-    keys, pos = np.unique(np.concatenate(keys), return_inverse=True)
-    data = np.zeros(len(keys))
-    np.add.at(data, pos, np.concatenate(vals))
-    MJ = sp.csc_matrix((data, (keys // N4, keys % N4)), shape=(N4, N4))
+        jumps.append(_interface_trace(uspace, itf, ts)[0])
+        sqrt_w.append(np.sqrt(ws))
+    rows = sp.diags(np.concatenate(sqrt_w)) @ sp.vstack(jumps, format="csr")
+    C = (rows @ m0res.matrix.tocsr()).tocsr()
+    C.eliminate_zeros()
+    return C
+
+
+def _gram(C):
+    MJ = (C.T @ C).tocsc()
     MJ.eliminate_zeros()
     return MJ
 
 
+def assemble_jump_matrix(uspace, m0res, nquad=None):
+    """Symmetric PSD Gram matrix MJ = C^T C of normal-derivative jumps
+    (sparse, N4^2), C the jump rows of :func:`assemble_jump_rows`."""
+    return _gram(assemble_jump_rows(uspace, m0res, nquad))
+
+
 def nullspace(MJ, tol=1e-10):
-    """Orthonormal basis of {v : MJ v = 0} via a spectral cutoff.
+    """Orthonormal basis of {v : MJ v = 0} via a spectral cutoff (the dense
+    reference for :func:`c1_basis`).
 
     Rows/columns that are identically zero pass through as identity
     columns; the remaining active block is decomposed densely and
@@ -480,6 +494,50 @@ def nullspace(MJ, tol=1e-10):
     return M1, svals
 
 
+def c1_basis(C, tol=1e-10):
+    """Sparse basis M1 of {v : C v = 0} by column-pivoted QR of the jump rows.
+
+    Columns of C that are identically zero pass through as identity columns.
+    The active columns are factored densely, C P = Q R; pivots |R_kk| <=
+    sqrt(tol) * |R_00| count as zero, so ``tol`` is the relative eigenvalue
+    cutoff of MJ = C^T C.  The basis P [-R11^{-1} R12; I] has one free
+    variable per column; its columns are scaled to unit 2-norm and entries
+    |z| <= eps (Householder fill) are set to zero.  Raises ``no-c1-space``
+    when the smallest kept pivot is not ``_RANK_GAP`` times the largest
+    dropped one.  Returns (M1, |diag R|).
+    """
+    C = sp.csc_matrix(C)
+    N4 = C.shape[1]
+    counts = np.diff(C.indptr)
+    active, inactive = np.flatnonzero(counts), np.flatnonzero(counts == 0)
+    n, rank, pivots = len(active), 0, np.zeros(0)
+    rows, cols, vals = [inactive], [np.arange(len(inactive))], [np.ones(len(inactive))]
+    if n:
+        _, R, perm = qr(C[:, active].toarray(), mode="raw", pivoting=True,
+                        overwrite_a=True, check_finite=False)
+        pivots = np.abs(np.diagonal(R))
+        rank = int(np.count_nonzero(pivots > np.sqrt(tol) * pivots[0]))
+        if 0 < rank < len(pivots) and pivots[rank - 1] < _RANK_GAP * pivots[rank]:
+            raise CouplingError(
+                "no clear rank gap in the jump rows: kept pivot %.2e, dropped "
+                "pivot %.2e" % (pivots[rank - 1], pivots[rank]),
+                tag="no-c1-space",
+            )
+        Z = np.vstack([-solve_triangular(R[:rank, :rank], R[:rank, rank:n]),
+                       np.eye(n - rank)])
+        Z /= np.linalg.norm(Z, axis=0)
+        Z[np.abs(Z) <= np.finfo(float).eps] = 0.0
+        r, c = np.nonzero(Z)
+        rows.append(active[perm[r]])
+        cols.append(len(inactive) + c)
+        vals.append(Z[r, c])
+    if N4 == rank:
+        raise CouplingError("jump matrix has empty null space", tag="no-c1-space")
+    M1 = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(N4, N4 - rank))
+    return M1, pivots
+
+
 def gram_rank(MJ, tol):
     """Brute-force rank of a PSD Gram matrix by diagonally pivoted
     elimination (independent of the spectral path)."""
@@ -507,18 +565,27 @@ def gram_rank(MJ, tol):
 
 
 class CoupledSpace:
-    """A C1-coupled multipatch space with its transformation chain."""
+    """A C1-coupled multipatch space with its transformation chain.
 
-    def __init__(self, domain, uspace, m0res, MJ, M1, svals, tol_null):
+    ``C`` holds the jump rows, ``M1`` the basis of their null space and
+    ``pivots`` the QR pivots |R_kk| of :func:`c1_basis`.
+    """
+
+    def __init__(self, domain, uspace, m0res, C, M1, pivots, tol_null):
         self.domain = domain
         self.uspace = uspace
         self.m0res = m0res
         self.M0 = m0res.matrix
-        self.MJ = MJ
+        self.C = C
         self.M1 = M1
-        self.svals = svals
+        self.pivots = pivots
         self.tol_null = tol_null
         self.M = (self.M0 @ self.M1).tocsc()
+
+    @functools.cached_property
+    def MJ(self):
+        """Jump Gram matrix C^T C, formed on first use (the basis needs only C)."""
+        return _gram(self.C)
 
     @property
     def N(self):
@@ -538,7 +605,12 @@ class CoupledSpace:
 
 
 def build_coupled_space(domain, bc=None, tol_null=1e-10, interface_quad=None, uspace=None):
-    """Full chain: M0, MJ, M1 with jump-seminorm verification."""
+    """Full chain: M0, jump rows C, M1 with jump-seminorm verification.
+
+    The check bounds ||C z|| of every unit column z of M1 by 1e-8 |R_00|;
+    |R_00|^2 is the largest squared column norm of C, no larger than the
+    largest eigenvalue of MJ.
+    """
     if bc is not None:
         from .geometry import apply_bc_tags
 
@@ -546,20 +618,17 @@ def build_coupled_space(domain, bc=None, tol_null=1e-10, interface_quad=None, us
     if uspace is None:
         uspace = UncoupledSpace.from_domain(domain)
     m0res = build_m0(uspace, domain)
-    MJ = assemble_jump_matrix(uspace, m0res, nquad=interface_quad)
-    M1, svals = nullspace(MJ, tol=tol_null)
-    cs = CoupledSpace(domain, uspace, m0res, MJ, M1, svals, tol_null)
-    if len(svals):
-        lmax = max(svals[-1], 0.0)
-        if lmax > 0.0:
-            semi = (MJ @ M1).multiply(M1).sum(axis=0)
-            semi = np.sqrt(np.maximum(np.asarray(semi).ravel(), 0.0))
-            if np.max(semi) > 1e-8 * np.sqrt(lmax):
-                raise CouplingError(
-                    "null-space columns have nonzero jump seminorm (max %.2e)"
-                    % np.max(semi),
-                    tag="no-c1-space",
-                )
+    C = assemble_jump_rows(uspace, m0res, nquad=interface_quad)
+    M1, pivots = c1_basis(C, tol=tol_null)
+    cs = CoupledSpace(domain, uspace, m0res, C, M1, pivots, tol_null)
+    if len(pivots):
+        semi = spla.norm(C @ M1, axis=0)
+        if np.max(semi) > 1e-8 * pivots[0]:
+            raise CouplingError(
+                "null-space columns have nonzero jump seminorm (max %.2e)"
+                % np.max(semi),
+                tag="no-c1-space",
+            )
     return cs
 
 
@@ -599,9 +668,9 @@ def reproduction_vector(cspace, which):
                 tag="not-applicable",
             )
         v4[k] = resid[a]
-    z = np.asarray(cspace.M1.T @ v4).ravel()
-    back = np.asarray(cspace.M1 @ z).ravel()
-    err = np.linalg.norm(back - v4)
+    M1 = cspace.M1
+    z = spla.spsolve((M1.T @ M1).tocsc(), M1.T @ v4)
+    err = np.linalg.norm(M1 @ z - v4)
     if err > 1e-8 * max(np.linalg.norm(v4), 1.0):
         raise CouplingError(
             "reproduction vector of %r is not in the C1 null space "

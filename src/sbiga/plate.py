@@ -139,7 +139,15 @@ def _quad_counts(cspace, quad):
 
 
 def assemble_stiffness(cspace, material, quad=None):
-    """Coupled stiffness A = M^T Atilde M (symmetric, PD when clamped)."""
+    """Coupled stiffness A = M1^T (M0^T Atilde M0) M1 (symmetric, PD when
+    clamped).
+
+    The congruence goes through the C0 space first.  Atilde is nearly
+    singular on the center rows, and the one-stage (M0 M1)^T Atilde (M0 M1)
+    rounds the product M0 M1 against them: on the clamped p=4 square at
+    s=16, a random orthogonal recombination of the interface columns of M1
+    moved the L2 error by 20 % in the one-stage form and by 0.05 % here.
+    """
     D, nu = material.D, material.nu
     uspace = cspace.uspace
     nq1, nq2 = _quad_counts(cspace, quad)
@@ -166,12 +174,13 @@ def assemble_stiffness(cspace, material, quad=None):
         (vals, (np.concatenate(rows), np.concatenate(cols))),
         shape=(cspace.N, cspace.N),
     ).tocsc()
-    A = (cspace.M.T @ Atilde @ cspace.M).tocsc()
-    return A
+    A4 = cspace.M0.T @ Atilde @ cspace.M0
+    return (cspace.M1.T @ A4 @ cspace.M1).tocsc()
 
 
 def assemble_load(cspace, loads, quad=None):
-    """Coupled load vector f = M^T ftilde plus direct point-load rows."""
+    """Coupled load vector f = M1^T (M0^T ftilde), point loads included in
+    ftilde; the same two stages as :func:`assemble_stiffness`."""
     uspace = cspace.uspace
     domain = cspace.domain
     nq1, nq2 = _quad_counts(cspace, quad)
@@ -193,15 +202,11 @@ def assemble_load(cspace, loads, quad=None):
     for patch_idx, val in loads.edge_moments:
         _edge_functional(uspace, patch_idx, val, ftil, order=1)
 
-    f = np.asarray(cspace.M.T @ ftil).ravel()
-
     for xp, F in loads.point_loads:
         m, z, x = locate_point(domain, xp)
         idx, V = uspace.parametric_eval(m, z, x, nders=0)[:2]
-        row = np.zeros(cspace.N)
-        row[idx] = V
-        f += F * np.asarray(cspace.M.T @ row).ravel()
-    return f
+        np.add.at(ftil, idx, F * V)
+    return np.asarray(cspace.M1.T @ (cspace.M0.T @ ftil)).ravel()
 
 
 def _edge_functional(uspace, patch_idx, val, ftil, order):

@@ -163,10 +163,9 @@ def test_criterion_07_instability_trend(p5_trend):
 
 
 # ----------------------------------------------------------------------
-# 8. perforated disk (slow)
+# 8. perforated disk
 
 
-@pytest.mark.slow
 def test_criterion_08_perforated_disk():
     from sbiga.harness import CaseConfig, run_case
     import pathlib

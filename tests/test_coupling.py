@@ -1,12 +1,17 @@
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import subspace_angles
 
 from sbiga.coupling import (
     asg1_coefficients,
     assemble_jump_matrix,
     build_coupled_space,
     build_m0,
+    c1_basis,
     c1_jump_report,
     gram_rank,
     nullspace,
@@ -312,8 +317,86 @@ class TestNullspace:
     def test_orthonormal_columns(self):
         dom = square4(degree=3).with_segments(2, 2, 1)
         cs = build_coupled_space(dom)
-        G = (cs.M1.T @ cs.M1).toarray()
+        M1, _ = nullspace(cs.MJ)
+        G = (M1.T @ M1).toarray()
         assert np.allclose(G, np.eye(cs.N6), atol=1e-12)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _config_spaces(path):
+    """Coupled spaces of every study level of a case config."""
+    from sbiga.harness import CaseConfig
+
+    cfg = CaseConfig.from_file(str(ROOT / path))
+    base, _ = cfg.build_base_domain()
+    return [cfg.build_space(base, s) for s in cfg.segments]
+
+
+def _oracle_contract(cs):
+    """Check the production M1 against the eigh oracle of MJ.
+
+    With sigma the smallest nonzero singular value of C, an orthonormal
+    basis Q of a computed null space lies within sin(angle) <= ||C Q|| /
+    sigma of the exact one.  The angle between M1 and the oracle is checked
+    against the sum of both such bounds, and M1's own bound against 1e-10
+    where the relative gap of MJ is at least 1e-6.  Returns (angle, own
+    bound, relative gap, cond(M1) on the active rows).
+    """
+    M1o, lam = nullspace(cs.MJ, tol=cs.tol_null)
+    assert cs.N6 == M1o.shape[1]
+    assert np.max(np.abs(spla.norm(cs.M1, axis=0) - 1.0)) <= 1e-14
+    assert np.max(spla.norm(cs.C @ cs.M1, axis=0)) <= np.max(spla.norm(cs.C @ M1o, axis=0))
+    # both bases put the identity columns of the inactive DOFs first
+    active = np.flatnonzero(np.diff(cs.C.tocsc().indptr))
+    k = cs.N4 - len(active)
+    Ca = cs.C[:, active].toarray()
+    Z, Zo = cs.M1[active][:, k:].toarray(), M1o[active][:, k:].toarray()
+    sigma2 = lam[lam > cs.tol_null * lam[-1]][0]
+    own = np.linalg.norm(Ca @ np.linalg.qr(Z)[0], 2) / np.sqrt(sigma2)
+    oracle = np.linalg.norm(Ca @ Zo, 2) / np.sqrt(sigma2)
+    angle = np.max(subspace_angles(Z, Zo), initial=0.0)
+    gap = sigma2 / lam[-1]
+    # the angle itself is computed to about 100 eps
+    assert np.sin(angle) <= own + oracle + 100 * np.finfo(float).eps
+    if gap >= 1e-6:
+        assert own <= 1e-10
+    return angle, own, gap, np.linalg.cond(Z)
+
+
+class TestC1Basis:
+    def test_small_jump_rows(self):
+        # v1 - v2 = 0, v3 free: one unit column (1, 1, 0)/sqrt(2), one identity
+        M1, pivots = c1_basis(sp.csr_matrix([[1.0, -1.0, 0.0]]))
+        assert M1.shape == (3, 2)
+        assert np.allclose(M1.toarray(), [[0.0, 0.5**0.5], [0.0, 0.5**0.5], [1.0, 0.0]])
+        assert pivots == pytest.approx([1.0])
+
+    def test_unclear_rank_gap_raises(self):
+        # a cutoff of 1e-30 (pivots below 1e-15 |R_00|) lands inside the
+        # roundoff cluster of dropped pivots
+        dom = square4(degree=3).with_segments(2, 2, 1)
+        with pytest.raises(CouplingError, match="rank gap") as exc:
+            build_coupled_space(dom, tol_null=1e-30)
+        assert exc.value.tag == "no-c1-space"
+
+    def test_example_spaces_match_oracle(self, example_spaces):
+        for name, cs in example_spaces.items():
+            print("%-18s angle %.1e own %.1e gap %.1e cond %.1f" % ((name,) + _oracle_contract(cs)))
+
+    @pytest.mark.parametrize("path", [
+        "configs/l_bracket.json",
+        "perfbench/configs/perforated_disk_s2.json",
+        "perfbench/configs/square_smooth_p3.json",
+        "perfbench/configs/square_smooth_p4.json",
+        "perfbench/configs/square_pointload_p3.json",
+        "perfbench/configs/square_stabilized_p5.json",
+    ])
+    def test_config_spaces_match_oracle(self, path):
+        for cs in _config_spaces(path):
+            print("%s N6=%d angle %.1e own %.1e gap %.1e cond %.1f"
+                  % ((path, cs.N6) + _oracle_contract(cs)))
 
 
 class TestCoupledSpace:

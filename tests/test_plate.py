@@ -89,7 +89,7 @@ class TestAssembleStiffness:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(cs.N, cs.N),
         ).tocsc()
-        B = (cs.M.T @ Atil @ cs.M).tocsc()
+        B = (cs.M1.T @ (cs.M0.T @ Atil @ cs.M0) @ cs.M1).tocsc()
         assert (A != B).nnz == 0  # bitwise identical
 
     def test_positive_definite_when_clamped(self, clamped_square, material):
@@ -108,6 +108,26 @@ class TestAssembleStiffness:
         A8 = assemble_stiffness(cs, mat, quad=8).toarray()
         A12 = assemble_stiffness(cs, mat, quad=12).toarray()
         assert np.max(np.abs(A8 - A12)) <= 1e-9 * np.max(np.abs(A12))
+
+    def test_l2_error_independent_of_basis(self):
+        # clamped p=4, s=16 sits near the roundoff floor of the unstabilized
+        # space; recombining the interface columns of M1 by a fixed random
+        # orthogonal matrix spans the same space, and the congruence through
+        # M0 keeps the L2 error within 1 % (measured 0.05 %; a one-stage
+        # (M0 M1)^T Atilde (M0 M1) moved it by 20 %)
+        from sbiga.coupling import CoupledSpace
+
+        exact = cos2_square()
+        mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
+        loads = LoadSpec(surface=manufactured_rhs(exact, mat.D))
+        cs = build_coupled_space(square4(degree=4, bc={"all": "clamped"}).with_segments(16, 16, 1))
+        k = cs.N4 - np.count_nonzero(np.diff(cs.C.tocsc().indptr))  # identity columns
+        rng = np.random.default_rng(41)
+        Q = np.linalg.qr(rng.standard_normal((cs.N6 - k, cs.N6 - k)))[0]
+        M1 = sp.hstack([cs.M1[:, :k], cs.M1[:, k:] @ Q]).tocsc()
+        mixed = CoupledSpace(cs.domain, cs.uspace, cs.m0res, cs.C, M1, cs.pivots, cs.tol_null)
+        l2 = [error_norms(solve_plate(c, mat, loads, cond=False), exact).l2 for c in (cs, mixed)]
+        assert abs(l2[1] / l2[0] - 1.0) < 0.01
 
 
 class TestAssembleLoad:
