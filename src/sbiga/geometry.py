@@ -228,9 +228,6 @@ class SBPatch:
     def q(self, xi):
         return self.c1 * np.asarray(xi, dtype=float) + self.c2
 
-    def is_singular(self):
-        return self.c2 == 0.0
-
     def map(self, zeta, xi):
         """Physical point(s) F(zeta, xi); broadcasts over matching shapes."""
         g = self.curve.eval(np.atleast_1d(zeta))

@@ -22,7 +22,9 @@ Sections with a fixed key set reject unknown keys with a ConfigError that
 names the key's path (e.g. ``study.segmentz``).
 """
 
+import ast
 import json
+import operator
 import time
 
 import numpy as np
@@ -120,6 +122,71 @@ def _check_keys(sec, name="", path=""):
                     _check_keys(entry, child, sub)
 
 
+_EXPR_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: np.pi}
+_EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def _expr_pow(a, b):
+    # int ** int is exact and unbounded in size: 10**10**10 would not return
+    if isinstance(a, int) and isinstance(b, int):
+        return float(a) ** b
+    return a ** b
+
+
+_EXPR_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: _expr_pow,
+}
+
+
+def load_expression(text):
+    """Surface load g(x, y) from an expression string.
+
+    Allowed: the names x, y and pi, calls of sin, cos and exp with one
+    argument, int and float literals, + - * / ** and unary minus.  Anything
+    else raises ConfigError, as does a constant part that overflows or
+    divides by zero.  The expression is never handed to eval: it becomes a
+    tree of closures that apply the same NumPy operations in the same order
+    as Python would; only a power of two integers is taken in floating
+    point.
+    """
+    if not isinstance(text, str):
+        raise ConfigError("loads.surface.expr must be a string", tag="config-error")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ConfigError("loads.surface.expr does not parse: %s" % exc, tag="config-error")
+    g = _expr_node(tree.body, text)
+    try:
+        g(np.float64(0.5), np.float64(0.5))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError("loads.surface.expr %r: %s" % (text, exc), tag="config-error")
+    return g
+
+
+def _expr_node(node, text):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        v = node.value
+        return lambda x, y: v
+    if isinstance(node, ast.Name) and node.id in _EXPR_NAMES:
+        return _EXPR_NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        f = _expr_node(node.operand, text)
+        return lambda x, y: -f(x, y)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        op = _EXPR_BINOPS[type(node.op)]
+        a, b = _expr_node(node.left, text), _expr_node(node.right, text)
+        return lambda x, y: op(a(x, y), b(x, y))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCS and len(node.args) == 1 and not node.keywords):
+        fn, a = _EXPR_FUNCS[node.func.id], _expr_node(node.args[0], text)
+        return lambda x, y: fn(a(x, y))
+    raise ConfigError(
+        "loads.surface.expr %r: %r is not allowed" % (text, ast.get_source_segment(text, node)),
+        tag="config-error",
+    )
+
+
 class CaseConfig:
     """Validated case description; raises ConfigError with a path hint."""
 
@@ -157,6 +224,10 @@ class CaseConfig:
             if tag not in ("clamped", "simply_supported", "free"):
                 raise ConfigError("unknown bc tag %r" % tag, tag="config-error")
         self.loads = doc.get("loads", {}) or {}
+        surface = self.loads.get("surface")
+        self.surface_expr = None
+        if isinstance(surface, dict) and "expr" in surface:
+            self.surface_expr = load_expression(surface["expr"])
         self.exact_name = (doc.get("exact") or {}).get("builtin")
         if self.exact_name is not None and self.exact_name not in _BUILTIN_EXACT:
             raise ConfigError("unknown exact solution %r" % self.exact_name, tag="config-error")
@@ -264,10 +335,8 @@ class CaseConfig:
         elif isinstance(src, dict) and "const" in src:
             c = float(src["const"])
             surface = lambda x, y: np.full_like(np.asarray(x, dtype=float), c)
-        elif isinstance(src, dict) and "expr" in src:
-            code = compile(src["expr"], "<surface-load>", "eval")
-            ns = {"np": np, "pi": np.pi, "sin": np.sin, "cos": np.cos, "exp": np.exp}
-            surface = lambda x, y: eval(code, {"__builtins__": {}}, dict(ns, x=x, y=y))
+        elif self.surface_expr is not None:
+            surface = self.surface_expr
         elif src is not None:
             raise ConfigError("unrecognized loads.surface", tag="config-error")
         point_loads = [

@@ -12,8 +12,16 @@ each block's zeta and radial factors at all parameters of a call at once:
 :meth:`UncoupledSpace.parametric_eval` and
 :meth:`UncoupledSpace.physical_eval` take one point or arrays of points,
 :meth:`UncoupledSpace.quad_tables` whole radial span rows, the batch unit
-of all element loops.  One second-order pullback, :func:`_pullback`, maps
-parametric second derivatives to physical Hessians for both.  Gradients at
+of all element loops.  The tables of a patch are built once per Gauss
+order and kept on the space, so stiffness, load and error norms share them.
+A row keeps the basis as its tensor factors: the zeta factor per span and
+the radial factor of the row.  The element stiffness, whose basis index
+stays, expands them to (S1, K, Q) Hessian tables and integrates with
+batched matmuls; the load and the error norms contract the factors with
+one weight or coefficient vector and never form such a table.  One
+second-order pullback, :func:`_pullback`, maps parametric second
+derivatives to physical Hessians, of single functions and of fields alike,
+since it is linear in them.  Gradients at
 points use the LAPACK inverse of J and the quadrature rows its closed form;
 the two agree to roundoff, and the point form stays because the jump Gram
 matrix MJ is built from it and roundoff-limited results (the finest-mesh
@@ -26,6 +34,9 @@ from .errors import GeometryError
 from .splines import ders_basis, nurbs_ders_basis, gauss_points
 
 __all__ = ["PatchBlock", "UncoupledSpace"]
+
+# (zeta order, xi order) of each parametric derivative
+_DERIVS = {"V": (0, 0), "D10": (1, 0), "D01": (0, 1), "D20": (2, 0), "D11": (1, 1), "D02": (0, 2)}
 
 
 class PatchBlock:
@@ -97,6 +108,7 @@ class UncoupledSpace:
                 off += b.size
             self.offsets.append(row)
         self.N = off
+        self._tables = {}
 
     @classmethod
     def from_domain(cls, domain):
@@ -139,7 +151,7 @@ class UncoupledSpace:
             parts.append(
                 [
                     (Dz[:, dz, :, None] * Dx[:, dx, None, :]).reshape(len(z), -1)
-                    for dz, dx in _DERIVS
+                    for dz, dx in _DERIVS.values()
                     if dz + dx <= nders
                 ]
             )
@@ -198,7 +210,14 @@ class UncoupledSpace:
         return finest
 
     def quad_tables(self, m, nq1, nq2):
-        """Per-patch Gauss tables for row-batched 2D assembly."""
+        """Per-patch Gauss tables for row-batched 2D assembly, built once per
+        (m, nq1, nq2) and kept on the space."""
+        key = (m, nq1, nq2)
+        if key not in self._tables:
+            self._tables[key] = self._build_tables(m, nq1, nq2)
+        return self._tables[key]
+
+    def _build_tables(self, m, nq1, nq2):
         patch = self.domain.patches[m]
         zs_spans = self.zeta_spans(m)
         xi_spans = patch.radial.spans()
@@ -243,11 +262,21 @@ class UncoupledSpace:
 
 
 class _PatchTables:
-    """Precomputed Gauss data for one patch; rows are radial spans."""
+    """Precomputed Gauss data for one patch; rows are radial spans.
+
+    A row holds, per block, the zeta factor Zv (S1, 3, kz, nq1) of every
+    zeta span and the radial factor Xv (3, kx, nq2) of the row: the basis
+    on the row is their tensor product.  Arrays (S1, K, Q) of basis
+    functions at quadrature points (Q = nq1*nq2, q = q1*nq2 + q2) are built
+    only where the basis index stays, as in the element stiffness; sums
+    against one coefficient or weight vector contract the factors instead.
+    """
 
     def __init__(self, space, m, zs_spans, xi_spans, Znodes, Zw, Xnodes, Xw, geom, zt, xt):
-        self.space = space
-        self.m = m
+        # the blocks, offsets and patch only: no reference back to the space
+        self.blocks = space.blocks[m]
+        self.offsets = space.offsets[m]
+        self.patch = space.domain.patches[m]
         self.zs_spans = zs_spans
         self.xi_spans = xi_spans
         self.Znodes = Znodes
@@ -262,44 +291,41 @@ class _PatchTables:
         self.nq1 = Znodes.shape[1]
         self.nq2 = Xnodes.shape[1]
 
-    def row_basis(self, s2):
-        """Stacked element tensors for radial span row s2.
+    def row_blocks(self, s2):
+        """Tensor factors of the blocks active on radial span row s2.
 
-        Returns (IDX (S1, K), V, D10, D01, D20, D11, D02) each (S1, K, Q)
-        with Q = nq1*nq2 and K the number of active functions.
+        Yields (flat, Zv, Xv): flat indices (S1, kz, kx), the zeta factor
+        (S1, 3, kz, nq1) and the radial factor (3, kx, nq2), with derivative
+        orders 0..2 on the second resp. first axis.
         """
-        space, m = self.space, self.m
-        parts_idx, parts = [], {k: [] for k in ("V", "D10", "D01", "D20", "D11", "D02")}
-        for b, blk in enumerate(space.blocks[m]):
+        for b, blk in enumerate(self.blocks):
             jloc, Xv = self.xt[b][s2]
             if len(jloc) == 0:
                 continue
             Zidx, Zv = self.zt[b]
-            pairs = {
-                "V": (0, 0),
-                "D10": (1, 0),
-                "D01": (0, 1),
-                "D20": (2, 0),
-                "D11": (1, 1),
-                "D02": (0, 2),
-            }
-            S1 = self.S1
-            for key, (dz, dx) in pairs.items():
-                T = np.einsum("skq,jr->skjqr", Zv[:, dz], Xv[dx])
-                parts[key].append(T.reshape(S1, -1, self.nq1 * self.nq2))
-            flat = (
-                space.offsets[m][b]
-                + Zidx[:, :, None] * blk.nj
-                + jloc[None, None, :]
-            ).reshape(S1, -1)
-            parts_idx.append(flat)
-        IDX = np.concatenate(parts_idx, axis=1)
-        arrs = {k: np.concatenate(v, axis=1) for k, v in parts.items()}
-        return IDX, arrs
+            flat = self.offsets[b] + Zidx[:, :, None] * blk.nj + jloc[None, None, :]
+            yield flat, Zv, Xv
+
+    def row_basis(self, s2, names):
+        """Stacked element tensors for radial span row s2.
+
+        Returns (IDX (S1, K), {name: (S1, K, Q)}) for the parametric
+        derivatives ``names`` (keys of ``_DERIVS``), K the number of active
+        functions.
+        """
+        S1, Q = self.S1, self.nq1 * self.nq2
+        idx, parts = [], {k: [] for k in names}
+        for flat, Zv, Xv in self.row_blocks(s2):
+            idx.append(flat.reshape(S1, -1))
+            for k in names:
+                dz, dx = _DERIVS[k]
+                T = Zv[:, dz, :, None, :, None] * Xv[dx, None, None, :, None, :]
+                parts[k].append(T.reshape(S1, -1, Q))
+        return np.concatenate(idx, axis=1), {k: np.concatenate(v, axis=1) for k, v in parts.items()}
 
     def row_geometry(self, s2):
         """Jacobian data on row s2: returns dict of (S1, Q) arrays."""
-        patch = self.space.domain.patches[self.m]
+        patch = self.patch
         qv = patch.c1 * self.Xnodes[s2] + patch.c2      # (nq2,)
         g = self.geom["g"]
         g1 = self.geom["g1"]
@@ -330,26 +356,46 @@ class _PatchTables:
         }
 
     def row_physical(self, s2):
-        """Physical gradients and Hessian components on row s2.
+        """Physical Hessian components of the basis on row s2.
 
-        Returns (IDX, V, GX, GY, H11, H22, H12, geo) with arrays (S1, K, Q).
+        Returns (IDX, H11, H22, H12, geo) with arrays (S1, K, Q).
         """
-        IDX, A = self.row_basis(s2)
+        IDX, A = self.row_basis(s2, ("D10", "D01", "D20", "D11", "D02"))
         geo = self.row_geometry(s2)
-        g = {k: v[:, None, :] for k, v in geo.items()}
-        I11 = g["J22"] / g["det"]
-        I12 = -g["J12"] / g["det"]
-        I21 = -g["J21"] / g["det"]
-        I22 = g["J11"] / g["det"]
-        # grad = J^{-T} [D10, D01]
-        GX = I11 * A["D10"] + I21 * A["D01"]
-        GY = I12 * A["D10"] + I22 * A["D01"]
-        H11, H22, H12 = _pullback(A, (I11, I12, I21, I22), GX, GY, g)
-        return IDX, A["V"], GX, GY, H11, H22, H12, geo
+        H11, H22, H12 = _row_hessian(A, {k: v[:, None, :] for k, v in geo.items()})
+        return IDX, H11, H22, H12, geo
+
+    def row_field(self, s2, c):
+        """Value and physical Hessian of the field with flat coefficients c
+        on row s2: returns (u, H11, H22, H12, geo), arrays (S1, Q).
+
+        Per block, c[flat] (S1, kz, kx) is contracted with the radial factor
+        (one batched matmul per xi order) and then with the zeta factor (one
+        per derivative); the pullback is linear in the parametric
+        derivatives, so it maps the field's derivatives as it maps each
+        basis function's.
+        """
+        S1 = self.S1
+        A = {k: 0.0 for k in _DERIVS}
+        for flat, Zv, Xv in self.row_blocks(s2):
+            cf = c[flat]
+            cX = [cf @ Xv[dx] for dx in range(3)]           # (S1, kz, nq2)
+            for k, (dz, dx) in _DERIVS.items():
+                A[k] = A[k] + (Zv[:, dz].transpose(0, 2, 1) @ cX[dx]).reshape(S1, -1)
+        geo = self.row_geometry(s2)
+        H11, H22, H12 = _row_hessian(A, geo)
+        return A["V"], H11, H22, H12, geo
 
 
-# (zeta order, xi order) of V, D10, D01, D20, D11, D02
-_DERIVS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+def _row_hessian(A, geo):
+    """Physical Hessian on quadrature rows from the closed-form J^{-1} of
+    :meth:`_PatchTables.row_geometry`; geo broadcasts against A."""
+    det = geo["det"]
+    inv = (geo["J22"] / det, -geo["J12"] / det, -geo["J21"] / det, geo["J11"] / det)
+    # grad = J^{-T} [D10, D01]
+    GX = inv[0] * A["D10"] + inv[2] * A["D01"]
+    GY = inv[1] * A["D10"] + inv[3] * A["D01"]
+    return _pullback(A, inv, GX, GY, geo)
 
 
 def _pullback(A, inv, GX, GY, F):

@@ -85,6 +85,35 @@ class TestCaseConfig:
         _, info = cfg.build_base_domain()
         assert cfg.load_spec(info).edge_loads == [(3, 1.0)]
 
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__mro__",
+        "__import__('os')",
+        "z * x",
+        "np.sin(x)",
+        "sin(x, y)",
+        "x if y else 1",
+        "True * x",
+        "x % 2",
+        "(",
+        "10**10**10 * x",
+        "1 / (1 - 1) * x",
+    ])
+    def test_unsafe_load_expression_rejected(self, tmp_path, expr):
+        doc = dict(SMOOTH, loads={"surface": {"expr": expr}})
+        with pytest.raises(ConfigError) as exc:
+            CaseConfig(doc)
+        assert exc.value.tag == "config-error"
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    def test_load_expression_values_bitwise(self):
+        doc = dict(SMOOTH, loads={"surface": {"expr": "sin(pi*x)*cos(2*y) - 3*exp(-x**2)/y + -1.5 + 2**-1"}})
+        cfg = CaseConfig(doc)
+        g = cfg.load_spec({}).surface
+        rng = np.random.default_rng(2)
+        x, y = rng.uniform(0.1, 1.0, (2, 7, 5))
+        ref = np.sin(np.pi * x) * np.cos(2 * y) - 3 * np.exp(-x**2) / y + -1.5 + 2**-1
+        assert np.array_equal(g(x, y), ref)
+
     def test_bundled_configs_load(self):
         root = pathlib.Path(__file__).resolve().parents[1]
         paths = sorted(root.glob("configs/*.json")) + sorted(root.glob("perfbench/configs/*.json"))

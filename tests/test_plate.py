@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from sbiga.coupling import build_coupled_space, reproduction_vector
 from sbiga.errors import AssemblyError, GeometryError, SolverError
-from sbiga.geometry import SBPatch, line_curve, locate_point, make_domain
-from sbiga.models import fan2, square4
+from sbiga.geometry import NurbsCurve, SBPatch, line_curve, locate_point, make_domain
+from sbiga.models import _polyline_loop, fan2, perforated_disk, square4
 from sbiga.plate import (
     LoadSpec,
     PlateMaterial,
     Solution,
+    _uncoupled_stiffness,
     assemble_load,
     assemble_stiffness,
     bending_moments,
@@ -25,6 +27,7 @@ from sbiga.plate import (
     solve,
     solve_plate,
 )
+from sbiga.splines import KnotVector
 from sbiga.stabilize import CombinedSpaceSpec, build_combined_space
 
 
@@ -63,7 +66,7 @@ class TestAssembleStiffness:
         assert d.max() <= 1e-12 * abs(A).max()
 
     def test_nu_zero_matches_reduced_integrand_bitwise(self):
-        # general path at nu=0 vs an integrand without the nu term
+        # general path at nu=0 vs the kernel's GEMMs without the nu terms
         dom = fan2(degree=2).with_segments(2, 2, 1)
         cs = build_coupled_space(dom)
         mat0 = PlateMaterial(E=1.0, nu=0.0, D=2.5)
@@ -74,13 +77,11 @@ class TestAssembleStiffness:
         for m in range(len(dom.patches)):
             tab = cs.uspace.quad_tables(m, 3, 3)
             for s2 in range(tab.S2):
-                IDX, V, GX, GY, H11, H22, H12, geo = tab.row_physical(s2)
-                w = geo["w"] * np.abs(geo["det"])
-                loc = D * (
-                    np.einsum("saq,sbq,sq->sab", H11, H11, w)
-                    + np.einsum("saq,sbq,sq->sab", H22, H22, w)
-                    + 2.0 * np.einsum("saq,sbq,sq->sab", H12, H12, w)
-                )
+                IDX, H11, H22, H12, geo = tab.row_physical(s2)
+                wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
+                loc = (H11 * wD) @ H11.transpose(0, 2, 1)
+                loc += (H22 * wD) @ H22.transpose(0, 2, 1)
+                loc += (2.0 * H12 * wD) @ H12.transpose(0, 2, 1)
                 K = IDX.shape[1]
                 rows.append(np.repeat(IDX, K, axis=1).ravel())
                 cols.append(np.tile(IDX, (1, K)).ravel())
@@ -368,6 +369,144 @@ class TestErrorNorms:
         r2 = error_norms(sol, exact, quad=8)
         assert abs(r1.h2_semi - r2.h2_semi) <= 1e-3 * r2.h2_semi
         assert abs(r1.l2 - r2.l2) <= 1e-3 * r2.l2
+
+
+# ----------------------------------------------------------------------
+# the quadrature kernels against their einsum forms over (S1, K, Q) tables
+
+
+def _einsum_uncoupled_stiffness(cs, material):
+    D, nu = material.D, material.nu
+    nq = cs.domain.p + 1
+    rows, cols, vals = [], [], []
+    for m in range(len(cs.domain.patches)):
+        tab = cs.uspace.quad_tables(m, nq, nq)
+        for s2 in range(tab.S2):
+            IDX, H11, H22, H12, geo = tab.row_physical(s2)
+            w = geo["w"] * np.abs(geo["det"])
+            lap = H11 + H22
+            loc = D * (1.0 - nu) * (
+                np.einsum("saq,sbq,sq->sab", H11, H11, w)
+                + np.einsum("saq,sbq,sq->sab", H22, H22, w)
+                + 2.0 * np.einsum("saq,sbq,sq->sab", H12, H12, w)
+            ) + D * nu * np.einsum("saq,sbq,sq->sab", lap, lap, w)
+            K = IDX.shape[1]
+            rows.append(np.repeat(IDX, K, axis=1).ravel())
+            cols.append(np.tile(IDX, (1, K)).ravel())
+            vals.append(loc.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(cs.N, cs.N),
+    ).tocsc()
+
+
+def _einsum_load(cs, g):
+    nq = cs.domain.p + 1
+    ftil = np.zeros(cs.N)
+    for m in range(len(cs.domain.patches)):
+        tab = cs.uspace.quad_tables(m, nq, nq)
+        for s2 in range(tab.S2):
+            IDX, A = tab.row_basis(s2, ("V",))
+            geo = tab.row_geometry(s2)
+            w = geo["w"] * np.abs(geo["det"]) * g(geo["px"], geo["py"])
+            np.add.at(ftil, IDX.ravel(), np.einsum("saq,sq->sa", A["V"], w).ravel())
+    return cs.M1.T @ (cs.M0.T @ ftil)
+
+
+def _einsum_errors(sol, exact):
+    cs = sol.space
+    nq = cs.domain.p + 1
+    l2 = h2 = 0.0
+    for m in range(len(cs.domain.patches)):
+        tab = cs.uspace.quad_tables(m, nq, nq)
+        for s2 in range(tab.S2):
+            IDX, H11, H22, H12, geo = tab.row_physical(s2)
+            V = tab.row_basis(s2, ("V",))[1]["V"]
+            w = geo["w"] * np.abs(geo["det"])
+            c = sol.ctil[IDX]
+            uh = np.einsum("sa,saq->sq", c, V)
+            e11, e22, e12 = exact.hess(geo["px"], geo["py"])
+            l2 += np.sum(w * (uh - exact.value(geo["px"], geo["py"])) ** 2)
+            h2 += np.sum(w * (
+                (np.einsum("sa,saq->sq", c, H11) - e11) ** 2
+                + (np.einsum("sa,saq->sq", c, H22) - e22) ** 2
+                + 2.0 * (np.einsum("sa,saq->sq", c, H12) - e12) ** 2
+            ))
+    return np.sqrt(h2), np.sqrt(l2)
+
+
+@pytest.fixture(scope="module", params=["fan2", "stabilized_p5_s8", "perforated_disk_s2"])
+def kernel_case(request):
+    if request.param == "fan2":
+        return build_coupled_space(fan2(degree=3, bc={"all": "clamped"}).with_segments(4, 4, 1))
+    if request.param == "stabilized_p5_s8":
+        return build_combined_space(
+            square4(degree=5, bc={"all": "clamped"}), CombinedSpaceSpec(8), 1
+        )
+    return build_coupled_space(perforated_disk(degree=3)[0].with_segments(2, 2, 1))
+
+
+class TestKernelOracles:
+    mat = PlateMaterial(E=1.0, nu=0.3, D=1.7)
+
+    def test_stiffness_matches_einsum(self, kernel_case):
+        # compared before the congruence: M0 sums large center-row entries
+        # of Atilde that cancel, which scales element roundoff up ~1000x
+        A = _uncoupled_stiffness(kernel_case, self.mat)
+        B = _einsum_uncoupled_stiffness(kernel_case, self.mat)
+        assert abs(A - B).max() <= 1e-13 * abs(B).max()
+
+    def test_error_norms_match_einsum(self, kernel_case):
+        rng = np.random.default_rng(5)
+        sol = Solution(kernel_case, rng.standard_normal(kernel_case.N6), self.mat, None, 0, 1)
+        rep = error_norms(sol, cos2_square())
+        h2, l2 = _einsum_errors(sol, cos2_square())
+        assert rep.h2_semi == pytest.approx(h2, rel=1e-13)
+        assert rep.l2 == pytest.approx(l2, rel=1e-13)
+
+    def test_load_matches_einsum(self, kernel_case):
+        g = lambda x, y: np.sin(3.0 * x) + y**2 + 0.5
+        f = assemble_load(kernel_case, LoadSpec(surface=g))
+        ref = _einsum_load(kernel_case, g)
+        assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _star_polygon_domain(gaps, radii, phase, degree):
+    """Clamped domain of one scaling center at the origin: one patch per
+    edge of the polygon whose vertices sit at the given radii and at
+    angles that fall by the given gaps (clockwise, interior on the right)."""
+    theta = phase - 2.0 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    pts, _ = _polyline_loop(list(zip(radii * np.cos(theta), radii * np.sin(theta))), degree)
+    bezier = KnotVector([0.0] * (degree + 1) + [1.0] * (degree + 1), degree)
+    patches = [
+        SBPatch(NurbsCurve(bezier, pts[k * degree : (k + 1) * degree + 1]), (0.0, 0.0))
+        for k in range(len(gaps))
+    ]
+    return make_domain(patches, bc={"all": "clamped"})
+
+
+@st.composite
+def _star_polygons(draw):
+    n = draw(st.integers(3, 6))
+    # gap ratios within 1.5 keep every angular gap below 0.86 pi
+    gaps = np.array(draw(st.lists(st.floats(1.0, 1.5), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.6, 1.4), min_size=n, max_size=n)))
+    return gaps, radii, draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 0.45))
+
+
+class TestRandomStarPolygons:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_star_polygons())
+    def test_clamped_stiffness(self, case):
+        gaps, radii, phase, nu = case
+        cs = build_coupled_space(_star_polygon_domain(gaps, radii, phase, 3).with_segments(2, 2, 1))
+        mat = PlateMaterial(E=1.0, nu=nu, D=1.0)
+        A = assemble_stiffness(cs, mat)
+        assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
+        np.linalg.cholesky(A.toarray())  # raises unless positive definite
+        At = _uncoupled_stiffness(cs, mat)
+        B = _einsum_uncoupled_stiffness(cs, mat)
+        assert abs(At - B).max() <= 1e-13 * abs(B).max()
 
 
 class TestManufacturedRhs:
