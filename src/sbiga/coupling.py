@@ -17,6 +17,7 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 from scipy.linalg import qr, solve_triangular
 
 from .errors import CouplingError, GeometryError
@@ -165,33 +166,15 @@ def verify_asg1(domain, interface, coeffs, samples=50):
 # M0: prune + C0 + scaling center + boundary conditions
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = np.arange(n)
-
-    def find(self, a):
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def scaling_center_functions(uspace, group_index):
-    """Coefficient vectors of the three center functions of one group.
+    """Coefficients of the three center functions of one group.
 
     Coefficients live on radial indices j <= p of the innermost block of
     every patch in the group: ones for phi1, control-point x/y coordinates
     for phi2/phi3 (value and gradient at the center are then (1,0,0),
     (0,1,0), (0,0,1) and the functions equal 1, x, y on the first radial
-    span).
+    span).  Returns (idx, coeffs): the flat indices and a (3, len(idx))
+    array of the coefficients of phi1, phi2, phi3 there.
     """
     domain = uspace.domain
     group = domain.groups[group_index]
@@ -201,32 +184,26 @@ def scaling_center_functions(uspace, group_index):
             tag="not-applicable",
         )
     p = domain.p
-    cols = [{}, {}, {}]
+    idx, coeffs = [np.empty(0, dtype=int)], [np.empty((3, 0))]
     for m in group.patches:
-        patch = domain.patches[m]
         for b, blk in enumerate(uspace.blocks[m]):
             if blk.j_lo > p:
                 continue
-            net = blk.net(patch)
-            j_hi_loc = min(p, blk.j_hi) - blk.j_lo
-            for i in range(blk.n1):
-                for jl in range(j_hi_loc + 1):
-                    a = uspace.flat(m, b, i, jl)
-                    cols[0][a] = 1.0
-                    cols[1][a] = net[i, jl, 0]
-                    cols[2][a] = net[i, jl, 1]
-    return cols
+            net = blk.net(domain.patches[m])[:, : min(p, blk.j_hi) - blk.j_lo + 1]
+            jl = np.arange(net.shape[1])
+            idx.append(uspace.flat(m, b, np.arange(blk.n1)[:, None], jl).ravel())
+            coeffs.append(np.stack([np.ones(net.shape[:2]), net[..., 0], net[..., 1]]).reshape(3, -1))
+    return np.concatenate(idx), np.concatenate(coeffs, axis=1)
 
 
 class M0Result:
     """M0 with its bookkeeping."""
 
-    def __init__(self, matrix, col_kind, center_cols, unc2col, removed):
+    def __init__(self, matrix, center_cols, unc2col, removed):
         self.matrix = matrix          # (N, N4) csc
-        self.col_kind = col_kind      # 0 plain, 1 center
         self.center_cols = center_cols  # group index -> (c1, c2, c3)
         self.unc2col = unc2col        # uncoupled index -> plain column (-1)
-        self.removed = removed        # set of removed uncoupled indices
+        self.removed = removed        # mask of removed uncoupled indices
 
     @property
     def N4(self):
@@ -234,35 +211,44 @@ class M0Result:
 
 
 def _blocks_with_layer(uspace, m, j_global):
-    out = []
-    for b, blk in enumerate(uspace.blocks[m]):
-        if blk.j_lo <= j_global <= blk.j_hi:
-            out.append((b, j_global - blk.j_lo))
-    return out
+    """(block, local radial index) of every block of patch m that holds
+    radial layer j_global."""
+    return [(b, j_global - blk.j_lo) for b, blk in enumerate(uspace.blocks[m])
+            if blk.j_lo <= j_global <= blk.j_hi]
+
+
+def _layer(uspace, m, j_global):
+    """Flat indices of radial layer j_global of patch m, over its blocks."""
+    return [
+        uspace.flat(m, b, np.arange(uspace.blocks[m][b].n1), jl)
+        for b, jl in _blocks_with_layer(uspace, m, j_global)
+    ]
 
 
 def build_m0(uspace, domain=None):
-    """Steps 1-4 of the coupling chain as a sparse basis transformation."""
+    """Steps 1-4 of the coupling chain as a sparse basis transformation.
+
+    The C0 classes are the connected components of the graph of merged
+    trace pairs.  A class is dropped when a member is pruned or lies in a
+    boundary-condition layer; the kept classes give the plain columns in
+    the order of their smallest member, each column holding ones on its
+    members.  The center functions of each singular group follow.
+    """
     domain = domain or uspace.domain
     N = uspace.N
     p = domain.p
-    n2 = {gi: g.radial.n for gi, g in enumerate(domain.groups)}
+    n2 = [g.radial.n for g in domain.groups]
 
     # step 1: prune j <= 1 (0-based) in singular groups
-    removed = set()
-    for gi, g in enumerate(domain.groups):
-        if g.c2 != 0.0:
-            continue
-        for m in g.patches:
-            for b, blk in enumerate(uspace.blocks[m]):
-                for j_global in (0, 1):
-                    if blk.j_lo <= j_global <= blk.j_hi:
-                        jl = j_global - blk.j_lo
-                        for i in range(blk.n1):
-                            removed.add(uspace.flat(m, b, i, jl))
+    removed = np.zeros(N, dtype=bool)
+    for g in domain.groups:
+        if g.c2 == 0.0:
+            for m in g.patches:
+                for idx in _layer(uspace, m, 0) + _layer(uspace, m, 1):
+                    removed[idx] = True
 
     # step 2: C0 identification across interfaces
-    uf = _UnionFind(N)
+    left, right = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for itf in domain.interfaces:
         if itf.kind == "radial":
             mL, mR = itf.left, itf.right
@@ -272,27 +258,23 @@ def build_m0(uspace, domain=None):
             for b, (bL, bR) in enumerate(zip(bl, br)):
                 if (bL.j_lo, bL.j_hi) != (bR.j_lo, bR.j_hi):
                     raise GeometryError("radial ranges differ across interface", tag="topology-error")
-                for jl in range(bL.nj):
-                    uf.union(
-                        uspace.flat(mL, b, bL.n1 - 1, jl), uspace.flat(mR, b, 0, jl)
-                    )
+                jl = np.arange(bL.nj)
+                left.append(uspace.flat(mL, b, bL.n1 - 1, jl))
+                right.append(uspace.flat(mR, b, 0, jl))
         else:
             mA, mB = itf.left, itf.right
-            gA = domain.group_of(mA)
-            gB = domain.group_of(mB)
-            jA = n2[gA] - 1
-            jB = n2[gB] - 1
-            (bA, jlA), = _blocks_with_layer(uspace, mA, jA)
-            (bB, jlB), = _blocks_with_layer(uspace, mB, jB)
+            (bA, jlA), = _blocks_with_layer(uspace, mA, n2[domain.group_of(mA)] - 1)
+            (bB, jlB), = _blocks_with_layer(uspace, mB, n2[domain.group_of(mB)] - 1)
             n1A = uspace.blocks[mA][bA].n1
             n1B = uspace.blocks[mB][bB].n1
             if n1A != n1B:
                 raise GeometryError("outer interface bases differ", tag="topology-error")
-            for i in range(n1A):
-                uf.union(
-                    uspace.flat(mA, bA, i, jlA),
-                    uspace.flat(mB, bB, n1B - 1 - i, jlB),
-                )
+            i = np.arange(n1A)
+            left.append(uspace.flat(mA, bA, i, jlA))
+            right.append(uspace.flat(mB, bB, n1B - 1 - i, jlB))
+    left, right = np.concatenate(left), np.concatenate(right)
+    graph = sp.csr_matrix((np.ones(len(left)), (left, right)), shape=(N, N))
+    ncls, cls = connected_components(graph, directed=False)
 
     # step 4 data: essential BC layer removal (applied to merged classes)
     group_constrained = set()
@@ -304,69 +286,51 @@ def build_m0(uspace, domain=None):
             raise GeometryError("unknown bc tag %r" % be.tag, tag="config-error")
         if nlay == 0:
             continue
-        m = be.patch
-        gi = domain.group_of(m)
+        gi = domain.group_of(be.patch)
         group_constrained.add(gi)
         for j_global in range(n2[gi] - nlay, n2[gi]):
-            for b, jl in _blocks_with_layer(uspace, m, j_global):
-                for i in range(uspace.blocks[m][b].n1):
-                    removed.add(uspace.flat(m, b, i, jl))
+            for idx in _layer(uspace, be.patch, j_global):
+                removed[idx] = True
     for itf in domain.interfaces:
         if itf.kind == "outer":
             group_constrained.add(domain.group_of(itf.left))
             group_constrained.add(domain.group_of(itf.right))
     for gi in group_constrained:
-        g = domain.groups[gi]
-        if g.c2 == 0.0 and not (p + 1 <= n2[gi] - 2):
+        if domain.groups[gi].c2 == 0.0 and not (p + 1 <= n2[gi] - 2):
             raise CouplingError(
                 "center functions of group %d reach constrained layers; "
                 "need n2 >= p+3 (got n2=%d, p=%d)" % (gi, n2[gi], p),
                 tag="config-error",
             )
 
-    # collect merged classes of retained indices
-    classes = {}
-    for a in range(N):
-        root = uf.find(a)
-        classes.setdefault(root, []).append(a)
-    removed_classes = set()
-    for root, members in classes.items():
-        if any(a in removed for a in members):
-            removed_classes.add(root)
+    # plain columns: kept classes in the order of their smallest member
+    roots = np.unique(cls, return_index=True)[1]
+    dropped = np.zeros(ncls, dtype=bool)
+    dropped[cls[removed]] = True
+    order = np.argsort(roots)
+    kept = order[~dropped[order]]
+    col = np.full(ncls, -1)
+    col[kept] = np.arange(len(kept))
+    unc2col = col[cls]
+    rows = [np.flatnonzero(unc2col >= 0)]
+    cols = [unc2col[rows[0]]]
+    vals = [np.ones(len(rows[0]))]
 
-    rows, cols, vals = [], [], []
-    col_kind = []
-    unc2col = np.full(N, -1, dtype=int)
-    k = 0
-    for root in sorted(classes):
-        if root in removed_classes:
-            continue
-        members = classes[root]
-        for a in members:
-            rows.append(a)
-            cols.append(k)
-            vals.append(1.0)
-            unc2col[a] = k
-        col_kind.append(0)
-        k += 1
-
+    k = len(kept)
     center_cols = {}
     for gi, g in enumerate(domain.groups):
-        if g.c2 != 0.0:
-            continue
-        triple = []
-        for coeffs in scaling_center_functions(uspace, gi):
-            for a, v in coeffs.items():
-                rows.append(a)
-                cols.append(k)
-                vals.append(v)
-            col_kind.append(1)
-            triple.append(k)
-            k += 1
-        center_cols[gi] = tuple(triple)
+        if g.c2 == 0.0:
+            idx, coeffs = scaling_center_functions(uspace, gi)
+            rows += [idx] * 3
+            cols += [np.full(len(idx), k + c) for c in range(3)]
+            vals += list(coeffs)
+            center_cols[gi] = (k, k + 1, k + 2)
+            k += 3
 
-    M0 = sp.csc_matrix((vals, (rows, cols)), shape=(N, k))
-    return M0Result(M0, np.array(col_kind), center_cols, unc2col, removed)
+    M0 = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, k)
+    )
+    return M0Result(M0, center_cols, unc2col, removed)
 
 
 # ----------------------------------------------------------------------
@@ -393,28 +357,44 @@ def _point_rows(idx, vals, N):
     return sp.csr_matrix((vals[keep], idx[keep], indptr), shape=(len(idx), N))
 
 
-def _interface_trace(uspace, itf, ts):
-    """Both sides of one interface at parameters ts, one batched call each.
+def _interface_sides(itf, ts):
+    """Both sides of one interface at parameters ts as (patch, zeta, xi).
 
     Radial interfaces join the left patch's zeta=1 edge to the right
     patch's zeta=0 edge along xi = t; outer interfaces join two xi=1 edges
-    with reversed zeta.  Returns (jump, sides): ``jump`` is the sparse
-    (len(ts), N) operator of the normal-derivative jump n . grad(left) -
-    n . grad(right) on the uncoupled functions, n the unit normal of the
-    left edge; ``sides`` holds (idx, G) of both sides' physical gradients.
+    with reversed zeta.
     """
+    one = np.ones_like(ts)
     if itf.kind == "radial":
-        sides = ((itf.left, 1.0, ts), (itf.right, 0.0, ts))
-        ndir = (1.0, 0.0)
-    else:
-        sides = ((itf.left, ts, 1.0), (itf.right, 1.0 - ts, 1.0))
-        ndir = (0.0, 1.0)
+        return (itf.left, one, ts), (itf.right, np.zeros_like(ts), ts)
+    return (itf.left, ts, one), (itf.right, 1.0 - ts, one)
+
+
+def _side_gradients(uspace, sides):
+    """Physical gradients (idx, G) of the uncoupled functions at each
+    (patch, zeta, xi) point set of ``sides``, one batched
+    :meth:`~sbiga.space.UncoupledSpace.physical_eval` per patch."""
+    out = [None] * len(sides)
+    for m in dict.fromkeys(m for m, _, _ in sides):
+        ks = [k for k, side in enumerate(sides) if side[0] == m]
+        z, x = (np.concatenate([sides[k][c] for k in ks]) for c in (1, 2))
+        idx, _, G, _ = uspace.physical_eval(m, z, x, nders=1)
+        cuts = np.cumsum([len(sides[k][1]) for k in ks[:-1]])
+        for k, idx_k, G_k in zip(ks, np.split(idx, cuts), np.split(G, cuts)):
+            out[k] = (idx_k, G_k)
+    return out
+
+
+def _jump_operator(uspace, itf, sides, grads):
+    """Sparse (npts, N) operator of the normal-derivative jump
+    n . grad(left) - n . grad(right) on the uncoupled functions, n the
+    unit normal of the left edge, from both sides' gradients."""
     m, z, x = sides[0]
+    ndir = (1.0, 0.0) if itf.kind == "radial" else (0.0, 1.0)
     normal = uspace.domain.patches[m].edge_normal(z, x, ndir)[:, :, None]
-    evals = [uspace.physical_eval(m, z, x, nders=1)[::2] for m, z, x in sides]
-    (idxL, GL), (idxR, GR) = evals
+    (idxL, GL), (idxR, GR) = grads
     vals = np.hstack([(GL @ normal)[..., 0], -(GR @ normal)[..., 0]])
-    return _point_rows(np.hstack([idxL, idxR]), vals, uspace.N), evals
+    return _point_rows(np.hstack([idxL, idxR]), vals, uspace.N)
 
 
 def assemble_jump_rows(uspace, m0res, nquad=None):
@@ -426,16 +406,19 @@ def assemble_jump_rows(uspace, m0res, nquad=None):
     energy of the C0 field M0 v and MJ = C^T C.  Gauss points are strictly
     inside knot spans (never at xi=0); default p+2 points per span so a
     vanishing quadrature jump certifies a vanishing jump function on radial
-    interfaces.
+    interfaces.  The traces of each patch are evaluated in one call.
     """
     domain = uspace.domain
     nq = nquad or (domain.p + 2)
-    jumps, sqrt_w = [sp.csr_matrix((0, uspace.N))], [np.empty(0)]
-    for itf in domain.interfaces:
-        ts, ws = _interface_quadrature(domain, itf, nq)
-        jumps.append(_interface_trace(uspace, itf, ts)[0])
-        sqrt_w.append(np.sqrt(ws))
-    rows = sp.diags(np.concatenate(sqrt_w)) @ sp.vstack(jumps, format="csr")
+    quad = [_interface_quadrature(domain, itf, nq) for itf in domain.interfaces]
+    sides = [_interface_sides(itf, ts) for itf, (ts, _) in zip(domain.interfaces, quad)]
+    grads = _side_gradients(uspace, [side for pair in sides for side in pair])
+    jumps = [sp.csr_matrix((0, uspace.N))] + [
+        _jump_operator(uspace, itf, pair, grads[2 * k : 2 * k + 2])
+        for k, (itf, pair) in enumerate(zip(domain.interfaces, sides))
+    ]
+    sqrt_w = np.sqrt(np.concatenate([np.empty(0)] + [ws for _, ws in quad]))
+    rows = sp.diags(sqrt_w) @ sp.vstack(jumps, format="csr")
     C = (rows @ m0res.matrix.tocsr()).tocsr()
     C.eliminate_zeros()
     return C
@@ -701,7 +684,9 @@ def c1_jump_report(cspace, nsamples=50, rng=None):
     for itf in cspace.domain.interfaces:
         ts = rng.uniform(0.02, 0.98, nsamples)
         interior = [(m, rng.uniform(0.05, 0.95, (25, 2))) for m in (itf.left, itf.right)]
-        jump, sides = _interface_trace(uspace, itf, ts)
+        pair = _interface_sides(itf, ts)
+        sides = _side_gradients(uspace, pair)
+        jump = _jump_operator(uspace, itf, pair, sides)
         for m, zx in interior:
             idx, _, G, _ = uspace.physical_eval(m, zx[:, 0], zx[:, 1], nders=1)
             sides.append((idx, G))

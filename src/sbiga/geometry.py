@@ -11,7 +11,7 @@ which makes det J > 0.
 import numpy as np
 
 from .errors import GeometryError
-from .splines import KnotVector, make_open_knot_vector, insert_knot, ders_basis
+from .splines import KnotVector, boehm_insert, make_open_knot_vector, insert_knot, ders_basis
 
 __all__ = [
     "NurbsCurve",
@@ -98,29 +98,35 @@ class NurbsCurve:
 
     def refine_to_segments(self, segments, r):
         """Insert uniform breakpoints k/segments to multiplicity p - r."""
-        cur = self
-        target = self.p - r
-        for k in range(1, segments):
-            t = k / segments
-            missing = target - cur.kv.multiplicity(t)
-            if missing < 0:
-                raise GeometryError(
-                    "existing multiplicity at %g exceeds p-r" % t, tag="invalid-regularity"
-                )
-            if missing > 0:
-                cur = cur.insert_knot(t, missing)
-        return cur
+        return self._raise_multiplicity(np.arange(1, segments) / segments, self.p - r, True)
 
     def refine_dyadic(self, levels, r):
         """Insert span midpoints to multiplicity p - r, ``levels`` times."""
         cur = self
         for _ in range(levels):
             mids = [0.5 * (a + b) for _, a, b in cur.kv.spans()]
-            for t in mids:
-                missing = (cur.p - r) - cur.kv.multiplicity(t)
-                if missing > 0:
-                    cur = cur.insert_knot(t, missing)
+            cur = cur._raise_multiplicity(mids, cur.p - r, False)
         return cur
+
+    def _raise_multiplicity(self, ts, target, strict):
+        """Curve with the knots ts raised to multiplicity ``target``.
+
+        Boehm insertion on a knot list, in homogeneous form one breakpoint
+        at a time, and one :class:`KnotVector` at the end.  ``strict`` rejects
+        a knot whose multiplicity already exceeds the target.
+        """
+        U, p, points, weights = self.kv.values.tolist(), self.p, self.points, self.weights
+        for t in ts:
+            missing = target - int(np.count_nonzero(np.abs(np.array(U) - t) <= 1e-12))
+            if missing < 0 and strict:
+                raise GeometryError(
+                    "existing multiplicity at %g exceeds p-r" % t, tag="invalid-regularity"
+                )
+            if missing > 0:
+                hom = np.column_stack([points * weights[:, None], weights])
+                hom = boehm_insert(U, hom, p, t, missing)
+                points, weights = hom[:, :2] / hom[:, 2:3], hom[:, 2]
+        return NurbsCurve(KnotVector(U, p), points, weights)
 
     def reversed_curve(self):
         return NurbsCurve(self.kv.mirrored(), self.points[::-1].copy(), self.weights[::-1].copy())

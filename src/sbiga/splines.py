@@ -7,8 +7,11 @@ Conventions used throughout the package:
 * basis indices are 0-based,
 * evaluation at t = 1 uses the left-limit convention, so the last basis
   function attains 1 there,
-* 0/0 is defined as 0 in the recursion.
+* 0/0 is defined as 0 in the Cox-de Boor reference recursion; the array
+  kernel :func:`ders_basis` divides only by positive knot differences.
 """
+
+import bisect
 
 import numpy as np
 
@@ -47,7 +50,13 @@ class KnotVector:
             raise SplineError("too few knots for degree %d" % p, tag="invalid-knots")
         if np.any(np.diff(values) < 0):
             raise SplineError("knots must be non-decreasing", tag="invalid-knots")
-        if not (np.all(values[: p + 1] == values[0]) and np.all(values[-p - 1 :] == values[-1])):
+        # each end knot is repeated exactly p+1 times
+        if not (
+            np.all(values[: p + 1] == values[0])
+            and np.all(values[-p - 1 :] == values[-1])
+            and values[0] < values[p + 1]
+            and values[-p - 2] < values[-1]
+        ):
             raise SplineError("knot vector is not p-open", tag="invalid-knots")
         if values[0] != 0.0 or values[-1] != 1.0:
             raise SplineError("knot vectors are normalized to [0, 1]", tag="invalid-knots")
@@ -189,11 +198,6 @@ def eval_deriv(kv, i, t, order):
     return _deriv_value(kv.values, kv.p, i, float(t), order)
 
 
-def _ratio(num, den):
-    """num / den with 0/0 := 0 (elementwise)."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-
-
 def ders_basis(kv, t, nders):
     """All nonzero B-splines and derivatives at t.
 
@@ -201,7 +205,9 @@ def ders_basis(kv, t, nders):
     function first_index + j, k = 0..nders, j = 0..p.  For an array of n
     parameters, first_index has shape (n,) and D shape (n, nders+1, p+1).
     Standard triangular algorithm, run over all parameters at once; this is
-    the fast path used by assembly.
+    the fast path used by assembly.  Every division is by a knot difference
+    U[span+a] - U[span+b] with a >= 1 and b <= 0; it covers the nonempty
+    span of t, so it is positive and no 0/0 guard is needed.
     """
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -215,36 +221,30 @@ def ders_basis(kv, t, nders):
     for j in range(1, p + 1):
         left[j] = t - U[span + 1 - j]
         right[j] = U[span + j] - t
-        saved = 0.0
-        for rr in range(j):
-            ndu[j, rr] = right[rr + 1] + left[j - rr]
-            temp = _ratio(ndu[rr, j - 1], ndu[j, rr])
-            ndu[rr, j] = saved + right[rr + 1] * temp
-            saved = left[j - rr] * temp
-        ndu[j, j] = saved
+        # knot differences below the diagonal, degree-j values above it
+        ndu[j, :j] = right[1 : j + 1] + left[j:0:-1]
+        temp = ndu[:j, j - 1] / ndu[j, :j]
+        saved = np.zeros((j + 1,) + t.shape)
+        saved[1:] = left[j:0:-1] * temp
+        ndu[:j, j] = saved[:j] + right[1 : j + 1] * temp
+        ndu[j, j] = saved[j]
     ders = np.zeros((nders + 1, p + 1) + t.shape)
     ders[0] = ndu[:, p]
-    a = np.zeros((2, p + 1) + t.shape)
-    for rr in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nders + 1):
-            d = 0.0
-            rk = rr - k
-            pk = p - k
-            if rr >= k:
-                a[s2, 0] = _ratio(a[s1, 0], ndu[pk + 1, rk])
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if rr - 1 <= pk else p - rr
-            for j in range(j1, j2 + 1):
-                a[s2, j] = _ratio(a[s1, j] - a[s1, j - 1], ndu[pk + 1, rk + j])
-                d = d + a[s2, j] * ndu[rk + j, pk]
-            if rr <= pk:
-                a[s2, k] = _ratio(-a[s1, k - 1], ndu[pk + 1, rr])
-                d = d + a[s2, k] * ndu[rr, pk]
-            ders[k, rr] = d
-            s1, s2 = s2, s1
+    # a[r, j] is coefficient j of function r at derivative order k; term j
+    # involves the functions r = k-j..p-j only, whose ndu indices r-k+j run
+    # over 0..p-k.  Terms are summed in increasing j, as per function.
+    a = np.ones((p + 1, 1) + t.shape)
+    for k in range(1, min(nders, p) + 1):
+        pk = p - k
+        den, basis = ndu[pk + 1, : pk + 1], ndu[: pk + 1, pk]
+        b = np.zeros((p + 1, k + 1) + t.shape)
+        b[k:, 0] = a[k:, 0] / den
+        ders[k, k:] = b[k:, 0] * basis
+        for j in range(1, k + 1):
+            r = slice(k - j, p - j + 1)
+            b[r, j] = (-a[r, j - 1] if j == k else a[r, j] - a[r, j - 1]) / den
+            ders[k, r] += b[r, j] * basis
+        a = b
     rfac = 1.0
     for k in range(1, nders + 1):
         rfac *= p - k + 1
@@ -289,6 +289,27 @@ def eval_nurbs(kv, weights, i, t, order=0):
     return R[order, j]
 
 
+def boehm_insert(U, ctrl, p, t, times):
+    """Insert t ``times`` times into the knot list U of degree p.
+
+    Boehm's algorithm on a plain list, extended in place, without building
+    or validating a :class:`KnotVector`; ``ctrl`` is an (n, d) control
+    array (homogeneous coordinates for rational curves).  Returns the new
+    control array.
+    """
+    for _ in range(times):
+        k = min(max(bisect.bisect_right(U, t) - 1, p), len(U) - p - 2)
+        lo = k - p + 1
+        a = np.array([(t - U[i]) / (U[i + p] - U[i]) for i in range(lo, k + 1)])[:, None]
+        new_ctrl = np.empty((ctrl.shape[0] + 1, ctrl.shape[1]))
+        new_ctrl[:lo] = ctrl[:lo]
+        new_ctrl[k + 1 :] = ctrl[k:]
+        new_ctrl[lo : k + 1] = a * ctrl[lo : k + 1] + (1.0 - a) * ctrl[lo - 1 : k]
+        U.insert(k + 1, t)
+        ctrl = new_ctrl
+    return ctrl
+
+
 def insert_knot(kv, ctrl, t, times=1):
     """Boehm knot insertion, geometry preserving.
 
@@ -300,24 +321,11 @@ def insert_knot(kv, ctrl, t, times=1):
     ctrl = np.asarray(ctrl, dtype=float)
     if ctrl.shape[0] != kv.n:
         raise SplineError("control count does not match basis count", tag="invalid-control")
-    p = kv.p
-    for _ in range(times):
-        if kv.multiplicity(t) + 1 > p + 1:
-            raise SplineError(
-                "multiplicity at %g would exceed p+1" % t, tag="invalid-multiplicity"
-            )
-        U = kv.values
-        k = kv.span_index(t)
-        new_ctrl = np.empty((ctrl.shape[0] + 1, ctrl.shape[1]))
-        new_ctrl[: k - p + 1] = ctrl[: k - p + 1]
-        new_ctrl[k + 1 :] = ctrl[k:]
-        for i in range(k - p + 1, k + 1):
-            den = U[i + p] - U[i]
-            a = (t - U[i]) / den if den > 0.0 else 0.0
-            new_ctrl[i] = a * ctrl[i] + (1.0 - a) * ctrl[i - 1]
-        kv = KnotVector(np.insert(U, k + 1, t), p)
-        ctrl = new_ctrl
-    return kv, ctrl
+    if kv.multiplicity(t) + times > kv.p + 1:
+        raise SplineError("multiplicity at %g would exceed p+1" % t, tag="invalid-multiplicity")
+    U = kv.values.tolist()
+    ctrl = boehm_insert(U, ctrl, kv.p, t, times)
+    return KnotVector(U, kv.p), ctrl
 
 
 class BasisEval:

@@ -1,0 +1,272 @@
+"""Earlier implementations kept as bitwise references for the array code.
+
+* :func:`ders_basis_ratio` is the triangular B-spline algorithm with every
+  division guarded by 0/0 := 0;
+* :func:`refine_to_segments_per_knot` inserts one knot at a time,
+  validating a new knot vector after each;
+* :func:`build_m0_union_find` merges C0 traces with a union-find and walks
+  the uncoupled DOFs one by one.
+
+The production versions in ``src/`` must reproduce them bit for bit; the
+tests compare raw bytes, not values within a tolerance.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from sbiga.coupling import _ESSENTIAL_LAYERS
+from sbiga.errors import GeometryError
+from sbiga.geometry import NurbsCurve
+from sbiga.splines import KnotVector
+
+
+def _ratio(num, den):
+    """num / den with 0/0 := 0 (elementwise)."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def ders_basis_ratio(kv, t, nders):
+    """Reference ders_basis: same return values as the production kernel."""
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    p = kv.p
+    U = kv.values
+    span = np.clip(np.searchsorted(U, t, side="right") - 1, p, kv.n - 1)
+    ndu = np.zeros((p + 1, p + 1) + t.shape)
+    ndu[0, 0] = 1.0
+    left = np.zeros((p + 1,) + t.shape)
+    right = np.zeros((p + 1,) + t.shape)
+    for j in range(1, p + 1):
+        left[j] = t - U[span + 1 - j]
+        right[j] = U[span + j] - t
+        saved = 0.0
+        for rr in range(j):
+            ndu[j, rr] = right[rr + 1] + left[j - rr]
+            temp = _ratio(ndu[rr, j - 1], ndu[j, rr])
+            ndu[rr, j] = saved + right[rr + 1] * temp
+            saved = left[j - rr] * temp
+        ndu[j, j] = saved
+    ders = np.zeros((nders + 1, p + 1) + t.shape)
+    ders[0] = ndu[:, p]
+    a = np.zeros((2, p + 1) + t.shape)
+    for rr in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nders + 1):
+            d = 0.0
+            rk = rr - k
+            pk = p - k
+            if rr >= k:
+                a[s2, 0] = _ratio(a[s1, 0], ndu[pk + 1, rk])
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if rr - 1 <= pk else p - rr
+            for j in range(j1, j2 + 1):
+                a[s2, j] = _ratio(a[s1, j] - a[s1, j - 1], ndu[pk + 1, rk + j])
+                d = d + a[s2, j] * ndu[rk + j, pk]
+            if rr <= pk:
+                a[s2, k] = _ratio(-a[s1, k - 1], ndu[pk + 1, rr])
+                d = d + a[s2, k] * ndu[rr, pk]
+            ders[k, rr] = d
+            s1, s2 = s2, s1
+    rfac = 1.0
+    for k in range(1, nders + 1):
+        rfac *= p - k + 1
+        ders[k] *= rfac
+    first = span - p
+    if scalar:
+        return int(first[0]), ders[..., 0]
+    return first, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
+
+
+def _insert_knot_per_knot(kv, ctrl, t, times):
+    p = kv.p
+    for _ in range(times):
+        U = kv.values
+        k = kv.span_index(t)
+        new_ctrl = np.empty((ctrl.shape[0] + 1, ctrl.shape[1]))
+        new_ctrl[: k - p + 1] = ctrl[: k - p + 1]
+        new_ctrl[k + 1 :] = ctrl[k:]
+        for i in range(k - p + 1, k + 1):
+            den = U[i + p] - U[i]
+            a = (t - U[i]) / den if den > 0.0 else 0.0
+            new_ctrl[i] = a * ctrl[i] + (1.0 - a) * ctrl[i - 1]
+        kv = KnotVector(np.insert(U, k + 1, t), p)
+        ctrl = new_ctrl
+    return kv, ctrl
+
+
+def refine_to_segments_per_knot(curve, segments, r):
+    """Reference refine_to_segments: one insert_knot call per breakpoint."""
+    cur = curve
+    target = curve.p - r
+    for k in range(1, segments):
+        t = k / segments
+        missing = target - cur.kv.multiplicity(t)
+        if missing < 0:
+            raise GeometryError(
+                "existing multiplicity at %g exceeds p-r" % t, tag="invalid-regularity"
+            )
+        if missing > 0:
+            kv, hom = _insert_knot_per_knot(cur.kv, cur.homogeneous(), t, missing)
+            cur = NurbsCurve(kv, hom[:, :2] / hom[:, 2:3], hom[:, 2])
+    return cur
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = np.arange(n)
+
+    def find(self, a):
+        p = self.parent
+        root = a
+        while p[root] != root:
+            root = p[root]
+        while p[a] != root:
+            p[a], a = root, p[a]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _center_function_dicts(uspace, group_index):
+    domain = uspace.domain
+    group = domain.groups[group_index]
+    p = domain.p
+    cols = [{}, {}, {}]
+    for m in group.patches:
+        patch = domain.patches[m]
+        for b, blk in enumerate(uspace.blocks[m]):
+            if blk.j_lo > p:
+                continue
+            net = blk.net(patch)
+            j_hi_loc = min(p, blk.j_hi) - blk.j_lo
+            for i in range(blk.n1):
+                for jl in range(j_hi_loc + 1):
+                    a = uspace.flat(m, b, i, jl)
+                    cols[0][a] = 1.0
+                    cols[1][a] = net[i, jl, 0]
+                    cols[2][a] = net[i, jl, 1]
+    return cols
+
+
+def _blocks_with_layer(uspace, m, j_global):
+    out = []
+    for b, blk in enumerate(uspace.blocks[m]):
+        if blk.j_lo <= j_global <= blk.j_hi:
+            out.append((b, j_global - blk.j_lo))
+    return out
+
+
+def build_m0_union_find(uspace, domain=None):
+    """Reference M0: returns (matrix, unc2col, center_cols, removed set)."""
+    domain = domain or uspace.domain
+    N = uspace.N
+    p = domain.p
+    n2 = {gi: g.radial.n for gi, g in enumerate(domain.groups)}
+
+    removed = set()
+    for gi, g in enumerate(domain.groups):
+        if g.c2 != 0.0:
+            continue
+        for m in g.patches:
+            for b, blk in enumerate(uspace.blocks[m]):
+                for j_global in (0, 1):
+                    if blk.j_lo <= j_global <= blk.j_hi:
+                        jl = j_global - blk.j_lo
+                        for i in range(blk.n1):
+                            removed.add(uspace.flat(m, b, i, jl))
+
+    uf = _UnionFind(N)
+    for itf in domain.interfaces:
+        if itf.kind == "radial":
+            mL, mR = itf.left, itf.right
+            bl, br = uspace.blocks[mL], uspace.blocks[mR]
+            for b, (bL, bR) in enumerate(zip(bl, br)):
+                for jl in range(bL.nj):
+                    uf.union(
+                        uspace.flat(mL, b, bL.n1 - 1, jl), uspace.flat(mR, b, 0, jl)
+                    )
+        else:
+            mA, mB = itf.left, itf.right
+            jA = n2[domain.group_of(mA)] - 1
+            jB = n2[domain.group_of(mB)] - 1
+            (bA, jlA), = _blocks_with_layer(uspace, mA, jA)
+            (bB, jlB), = _blocks_with_layer(uspace, mB, jB)
+            n1A = uspace.blocks[mA][bA].n1
+            n1B = uspace.blocks[mB][bB].n1
+            for i in range(n1A):
+                uf.union(
+                    uspace.flat(mA, bA, i, jlA),
+                    uspace.flat(mB, bB, n1B - 1 - i, jlB),
+                )
+
+    for be in domain.boundary:
+        if be.edge != "outer":
+            continue
+        nlay = _ESSENTIAL_LAYERS[be.tag]
+        if nlay == 0:
+            continue
+        m = be.patch
+        gi = domain.group_of(m)
+        for j_global in range(n2[gi] - nlay, n2[gi]):
+            for b, jl in _blocks_with_layer(uspace, m, j_global):
+                for i in range(uspace.blocks[m][b].n1):
+                    removed.add(uspace.flat(m, b, i, jl))
+
+    classes = {}
+    for a in range(N):
+        classes.setdefault(uf.find(a), []).append(a)
+    removed_classes = {
+        root for root, members in classes.items() if any(a in removed for a in members)
+    }
+
+    rows, cols, vals = [], [], []
+    unc2col = np.full(N, -1, dtype=int)
+    k = 0
+    for root in sorted(classes):
+        if root in removed_classes:
+            continue
+        for a in classes[root]:
+            rows.append(a)
+            cols.append(k)
+            vals.append(1.0)
+            unc2col[a] = k
+        k += 1
+
+    center_cols = {}
+    for gi, g in enumerate(domain.groups):
+        if g.c2 != 0.0:
+            continue
+        triple = []
+        for coeffs in _center_function_dicts(uspace, gi):
+            for a, v in coeffs.items():
+                rows.append(a)
+                cols.append(k)
+                vals.append(v)
+            triple.append(k)
+            k += 1
+        center_cols[gi] = tuple(triple)
+
+    M0 = sp.csc_matrix((vals, (rows, cols)), shape=(N, k))
+    return M0, unc2col, center_cols, removed
+
+
+def assert_same_bytes(*pairs):
+    """Each pair of arrays has the same dtype, shape and bytes."""
+    for a, b in pairs:
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_m0(res, uspace, domain=None):
+    """An M0Result equals the union-find reference byte for byte."""
+    M0, unc2col, center_cols, removed = build_m0_union_find(uspace, domain)
+    A = res.matrix
+    assert_same_bytes((A.data, M0.data), (A.indices, M0.indices), (A.indptr, M0.indptr),
+                      (res.unc2col, unc2col))
+    assert res.center_cols == center_cols
+    assert set(np.flatnonzero(res.removed)) == removed

@@ -102,11 +102,19 @@ class TestAsg1Coefficients:
         assert np.allclose(combo, co.beta, atol=1e-14)
 
 
+def _center_coeffs(us, gi):
+    """Dense (3, N) coefficients of the center functions of group gi."""
+    idx, coeffs = scaling_center_functions(us, gi)
+    dense = np.zeros((3, us.N))
+    dense[:, idx] = coeffs
+    return dense
+
+
 class TestScalingCenterFunctions:
     def test_values_near_center(self):
         dom = open_fan(3, 3)
         us = UncoupledSpace.from_domain(dom)
-        cols = scaling_center_functions(us, 0)
+        cols = _center_coeffs(us, 0)
         pa = dom.patches[0]
         rng = np.random.default_rng(0)
         # first radial knot span: functions equal 1, x, y there
@@ -117,7 +125,7 @@ class TestScalingCenterFunctions:
             idx, V = us.parametric_eval(0, z, x, nders=0)[:2]
             vals = []
             for col in cols:
-                c = np.array([col.get(a, 0.0) for a in idx])
+                c = col[idx]
                 vals.append(c @ V)
             xph, yph = pa.map(z, x)
             assert vals[0] == pytest.approx(1.0, abs=1e-12)
@@ -127,21 +135,21 @@ class TestScalingCenterFunctions:
     def test_gradient_limit_at_center(self):
         dom = open_fan(3, 3)
         us = UncoupledSpace.from_domain(dom)
-        cols = scaling_center_functions(us, 0)
+        cols = _center_coeffs(us, 0)
         for x in (1e-4, 1e-6):
             idx, V, G, _ = us.physical_eval(0, 0.37, x, nders=1)
-            c2 = np.array([cols[1].get(a, 0.0) for a in idx])
-            c3 = np.array([cols[2].get(a, 0.0) for a in idx])
+            c2 = cols[1][idx]
+            c3 = cols[2][idx]
             assert np.allclose(c2 @ G, [1.0, 0.0], atol=1e-8)
             assert np.allclose(c3 @ G, [0.0, 1.0], atol=1e-8)
 
     def test_center_hessian_vanishes_nearby(self):
         dom = open_fan(3, 3)
         us = UncoupledSpace.from_domain(dom)
-        cols = scaling_center_functions(us, 0)
+        cols = _center_coeffs(us, 0)
         idx, V, G, H = us.physical_eval(0, 0.61, 0.02, nders=2)
         for col in cols:
-            c = np.array([col.get(a, 0.0) for a in idx])
+            c = col[idx]
             assert np.max(np.abs(np.einsum("n,nij->ij", c, H))) <= 1e-10
 
     def test_regular_center_not_applicable(self):

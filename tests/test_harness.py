@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import sbiga
 from sbiga.cli import main as cli_main
 from sbiga.errors import ConfigError
 from sbiga.harness import CSV_COLUMNS, CaseConfig, run_case, verify_case
@@ -213,10 +215,16 @@ class TestCli:
     def test_cli_process_entry(self, tmp_path):
         doc = dict(SMOOTH, study={"segments": [2]})
         path = write_cfg(tmp_path, doc)
+        # the child imports the same package as this process, also when
+        # pytest put src/ on sys.path only through its pythonpath setting
+        src = str(pathlib.Path(sbiga.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sbiga", "verify", path, "--checks", "asg1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "asg1" in proc.stdout
@@ -314,3 +322,52 @@ class TestStabilizedConfig:
         ref_base, _ = cfg.build_base_domain()
         ref = build_combined_space(ref_base, CombinedSpaceSpec(4), 1)
         assert (cs.N, cs.N4, cs.N6) == (ref.N, ref.N4, ref.N6)
+
+
+class TestLBracketSolve:
+    """configs/l_bracket.json at its level s = 2: a clamped, loaded space
+    whose stiffness is positive definite and whose solve and C1 coupling
+    hold."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        from sbiga.plate import assemble_load, assemble_stiffness
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        cfg = CaseConfig.from_file(str(root / "configs" / "l_bracket.json"))
+        base, info = cfg.build_base_domain()
+        cs = cfg.build_space(base, 2)
+        A = assemble_stiffness(cs, cfg.material)
+        f = assemble_load(cs, cfg.load_spec(info))
+        return cs, A, f
+
+    def test_stiffness_positive_definite(self, case):
+        cs, A, _ = case
+        assert cs.N6 == A.shape[0] == 848
+        np.linalg.cholesky(A.toarray())  # raises unless positive definite
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "|A - A^T| / |A| is 2.0e-12: Atilde is symmetric to 1.7e-16, but the "
+        "congruence through M0 sums large center-row entries that cancel "
+        "(5.2e-13 after M0, 2.0e-12 after M1)"))
+    def test_stiffness_symmetric(self, case):
+        _, A, _ = case
+        assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
+
+    def test_solve_backward_stable(self, case):
+        # cond(A) is 2.4e8, so ||f - A x|| / ||f|| is about 2e-10 for any
+        # backward-stable solve (dense LAPACK gives 2.5e-10); the normwise
+        # backward error is the measure that does not scale with it
+        from sbiga.plate import solve
+
+        _, A, f = case
+        x, res, _ = solve(A, f, cond=False)
+        scale = abs(A).sum(axis=0).max() * np.abs(x).sum() + np.abs(f).sum()
+        assert np.linalg.norm(f) > 0.0
+        assert res <= 1e-15 * scale
+
+    def test_c1_jumps(self, case):
+        from sbiga.coupling import c1_jump_report
+
+        cs, _, _ = case
+        assert max(rel for _, rel in c1_jump_report(cs, nsamples=50)) <= 1e-8

@@ -6,9 +6,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from sbiga.coupling import build_coupled_space, reproduction_vector
+from reference_kernels import assert_same_m0
+from sbiga.coupling import build_coupled_space, c1_jump_report, gram_rank, reproduction_vector
 from sbiga.errors import AssemblyError, GeometryError, SolverError
 from sbiga.geometry import NurbsCurve, SBPatch, line_curve, locate_point, make_domain
+from sbiga.harness import _reproduction_error
 from sbiga.models import _polyline_loop, fan2, perforated_disk, square4
 from sbiga.plate import (
     LoadSpec,
@@ -471,10 +473,11 @@ class TestKernelOracles:
         assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _star_polygon_domain(gaps, radii, phase, degree):
-    """Clamped domain of one scaling center at the origin: one patch per
-    edge of the polygon whose vertices sit at the given radii and at
-    angles that fall by the given gaps (clockwise, interior on the right)."""
+def _star_polygon_domain(gaps, radii, phase, degree, bc="clamped"):
+    """Domain of one scaling center at the origin, clamped by default: one
+    patch per edge of the polygon whose vertices sit at the given radii and
+    at angles that fall by the given gaps (clockwise, interior on the
+    right)."""
     theta = phase - 2.0 * np.pi * np.cumsum(gaps) / np.sum(gaps)
     pts, _ = _polyline_loop(list(zip(radii * np.cos(theta), radii * np.sin(theta))), degree)
     bezier = KnotVector([0.0] * (degree + 1) + [1.0] * (degree + 1), degree)
@@ -482,7 +485,7 @@ def _star_polygon_domain(gaps, radii, phase, degree):
         SBPatch(NurbsCurve(bezier, pts[k * degree : (k + 1) * degree + 1]), (0.0, 0.0))
         for k in range(len(gaps))
     ]
-    return make_domain(patches, bc={"all": "clamped"})
+    return make_domain(patches, bc={"all": bc})
 
 
 @st.composite
@@ -507,6 +510,21 @@ class TestRandomStarPolygons:
         At = _uncoupled_stiffness(cs, mat)
         B = _einsum_uncoupled_stiffness(cs, mat)
         assert abs(At - B).max() <= 1e-13 * abs(B).max()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_star_polygons())
+    def test_c1_space(self, case):
+        gaps, radii, phase, _ = case
+        cs = build_coupled_space(_star_polygon_domain(gaps, radii, phase, 3).with_segments(2, 2, 1))
+        assert max(rel for _, rel in c1_jump_report(cs, nsamples=20)) <= 1e-8
+        assert cs.N6 == cs.N4 - gram_rank(cs.MJ, tol=1e-11)
+        free = build_coupled_space(
+            _star_polygon_domain(gaps, radii, phase, 3, bc="free").with_segments(2, 2, 1)
+        )
+        for which in ("1", "x", "y"):
+            assert _reproduction_error(free, which) <= 1e-10
+        for space in (cs, free):
+            assert_same_m0(space.m0res, space.uspace)
 
 
 class TestManufacturedRhs:
