@@ -17,7 +17,6 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 from scipy.linalg import qr, solve_triangular
 
 from .errors import CouplingError, GeometryError
@@ -274,7 +273,7 @@ def build_m0(uspace, domain=None):
             right.append(uspace.flat(mB, bB, n1B - 1 - i, jlB))
     left, right = np.concatenate(left), np.concatenate(right)
     graph = sp.csr_matrix((np.ones(len(left)), (left, right)), shape=(N, N))
-    ncls, cls = connected_components(graph, directed=False)
+    ncls, cls = sp.csgraph.connected_components(graph, directed=False)
 
     # step 4 data: essential BC layer removal (applied to merged classes)
     group_constrained = set()
