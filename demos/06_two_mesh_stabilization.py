@@ -7,7 +7,7 @@ from sbiga.coupling import build_coupled_space
 from sbiga.plate import (
     LoadSpec, PlateMaterial, cos2_square, error_norms, manufactured_rhs, solve_plate,
 )
-from sbiga.stabilize import CombinedSpaceSpec, build_combined_space
+from sbiga.stabilize import build_combined_space
 
 p = 4
 exact = cos2_square()
@@ -20,8 +20,7 @@ for s in (4, 8, 12, 16):
     dom = square4(degree=p, bc={"all": "clamped"}).with_segments(s, s, 1)
     sol = solve_plate(build_coupled_space(dom), mat, loads, cond=False)
     l2_plain = error_norms(sol, exact).l2
-    cs = build_combined_space(square4(degree=p, bc={"all": "clamped"}),
-                              CombinedSpaceSpec(s), 1)
+    cs = build_combined_space(square4(degree=p, bc={"all": "clamped"}), s, 1)
     sol2 = solve_plate(cs, mat, loads, cond=False)
     l2_comb = error_norms(sol2, exact).l2
     print("1/%-6d %-14.5g %-14.5g" % (s, l2_plain, l2_comb))

@@ -6,9 +6,7 @@ from .splines import (
     make_open_knot_vector,
     eval_basis,
     eval_deriv,
-    eval_nurbs,
     insert_knot,
-    TensorSplineSpace,
 )
 from .geometry import (
     NurbsCurve,
@@ -43,7 +41,7 @@ from .plate import (
     bending_moments,
     error_norms,
 )
-from .stabilize import CombinedSpaceSpec, build_combined_space
+from .stabilize import build_combined_space
 from .trim import split_curve, TrimSpec, assemble_trimmed_domain
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 config/schema errors, 1 any other failure.
 A run repeats bitwise under the same BLAS thread count.  The null-space
 basis comes from a dense LAPACK QR, whose rounding depends on the thread
 count: on configs/square_smooth.json the CSV agrees under 1 and 2 threads
-through s=12, and the s=16 L2 error differs by 1.4e-6 relative.  --serial
-is accepted for compatibility with driver scripts and changes nothing.
+through s=12, and the s=16 L2 error differs by 1.4e-6 relative.  Gauss
+orders and the null-space cutoff are config keys
+(``discretization.quad_order``, ``discretization.tol_null``).
 """
 
 import argparse
@@ -13,13 +14,6 @@ import sys
 
 from .errors import SbigaError
 from .harness import CaseConfig, run_case, verify_case, export_case
-
-
-def _add_common(p):
-    p.add_argument("config", help="path to a JSON case config")
-    p.add_argument("--serial", action="store_true", help="accepted for compatibility; no effect")
-    p.add_argument("--quad-order", type=int, default=None, help="Gauss points per direction")
-    p.add_argument("--tol-null", type=float, default=None, help="null-space cutoff")
 
 
 def make_parser():
@@ -32,7 +26,7 @@ def make_parser():
         ("export", "solve and export fields (legacy VTK)"),
     ):
         p = sub.add_parser(name, help=hlp)
-        _add_common(p)
+        p.add_argument("config", help="path to a JSON case config")
         if name == "run":
             p.add_argument("--csv", default=None)
         if name == "converge":
@@ -48,24 +42,16 @@ def make_parser():
     return ap
 
 
-def _load_config(args):
-    cfg = CaseConfig.from_file(args.config)
-    if args.tol_null is not None:
-        cfg.tol_null = args.tol_null
-    return cfg
-
-
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = CaseConfig.from_file(args.config)
         if args.command in ("run", "converge"):
             if args.command == "converge":
                 cfg.segments = list(args.segments)
             rows, _ = run_case(
                 cfg,
                 csv_path=args.csv,
-                quad_order=args.quad_order,
                 progress=lambda row: print(
                     "h=%-10g N6=%-8d center=%r" % (row.h, row.N6, row.center_deflection)
                 ),
@@ -90,7 +76,7 @@ def main(argv=None):
                 print("%-12s %-40s %.3e (tol %.0e) %s" % (kind, what, val, tol, "ok" if good else "FAIL"))
             return 0 if ok else 1
         if args.command == "export":
-            paths = export_case(cfg, args.out, quad_order=args.quad_order)
+            paths = export_case(cfg, args.out)
             for p in paths:
                 print(p)
             return 0

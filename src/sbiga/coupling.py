@@ -224,7 +224,7 @@ def _layer(uspace, m, j_global):
     ]
 
 
-def build_m0(uspace, domain=None):
+def build_m0(uspace):
     """Steps 1-4 of the coupling chain as a sparse basis transformation.
 
     The C0 classes are the connected components of the graph of merged
@@ -233,7 +233,7 @@ def build_m0(uspace, domain=None):
     the order of their smallest member, each column holding ones on its
     members.  The center functions of each singular group follow.
     """
-    domain = domain or uspace.domain
+    domain = uspace.domain
     N = uspace.N
     p = domain.p
     n2 = [g.radial.n for g in domain.groups]
@@ -586,21 +586,17 @@ class CoupledSpace:
         return np.asarray(self.M @ z).ravel()
 
 
-def build_coupled_space(domain, bc=None, tol_null=1e-10, interface_quad=None, uspace=None):
+def build_coupled_space(domain, tol_null=1e-10, uspace=None):
     """Full chain: M0, jump rows C, M1 with jump-seminorm verification.
 
     The check bounds ||C z|| of every unit column z of M1 by 1e-8 |R_00|;
     |R_00|^2 is the largest squared column norm of C, no larger than the
     largest eigenvalue of MJ.
     """
-    if bc is not None:
-        from .geometry import apply_bc_tags
-
-        apply_bc_tags(domain, bc)
     if uspace is None:
         uspace = UncoupledSpace.from_domain(domain)
-    m0res = build_m0(uspace, domain)
-    C = assemble_jump_rows(uspace, m0res, nquad=interface_quad)
+    m0res = build_m0(uspace)
+    C = assemble_jump_rows(uspace, m0res)
     M1, pivots = c1_basis(C, tol=tol_null)
     cs = CoupledSpace(domain, uspace, m0res, C, M1, pivots, tol_null)
     if len(pivots):

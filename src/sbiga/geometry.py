@@ -97,28 +97,17 @@ class NurbsCurve:
         return NurbsCurve(kv, hom[:, :2] / hom[:, 2:3], hom[:, 2])
 
     def refine_to_segments(self, segments, r):
-        """Insert uniform breakpoints k/segments to multiplicity p - r."""
-        return self._raise_multiplicity(np.arange(1, segments) / segments, self.p - r, True)
-
-    def refine_dyadic(self, levels, r):
-        """Insert span midpoints to multiplicity p - r, ``levels`` times."""
-        cur = self
-        for _ in range(levels):
-            mids = [0.5 * (a + b) for _, a, b in cur.kv.spans()]
-            cur = cur._raise_multiplicity(mids, cur.p - r, False)
-        return cur
-
-    def _raise_multiplicity(self, ts, target, strict):
-        """Curve with the knots ts raised to multiplicity ``target``.
+        """Curve with the uniform breakpoints k/segments raised to
+        multiplicity p - r.
 
         Boehm insertion on a knot list, in homogeneous form one breakpoint
-        at a time, and one :class:`KnotVector` at the end.  ``strict`` rejects
-        a knot whose multiplicity already exceeds the target.
+        at a time, and one :class:`KnotVector` at the end.  A knot whose
+        multiplicity already exceeds p - r is rejected.
         """
         U, p, points, weights = self.kv.values.tolist(), self.p, self.points, self.weights
-        for t in ts:
-            missing = target - int(np.count_nonzero(np.abs(np.array(U) - t) <= 1e-12))
-            if missing < 0 and strict:
+        for t in np.arange(1, segments) / segments:
+            missing = p - r - int(np.count_nonzero(np.abs(np.array(U) - t) <= 1e-12))
+            if missing < 0:
                 raise GeometryError(
                     "existing multiplicity at %g exceeds p-r" % t, tag="invalid-regularity"
                 )
@@ -273,7 +262,7 @@ class SBPatch:
         n = np.linalg.solve(np.swapaxes(jac, -1, -2), rhs[..., None])[..., 0]
         return n / np.hypot(n[..., 0], n[..., 1])[..., None]
 
-    def control_net(self, curve=None, radial=None, verify=True):
+    def control_net(self, curve=None, radial=None):
         """Control net C[i, j] = q(g_j)(C_i - x0) + x0 (g_j radial Greville).
 
         q has degree 1, so Greville coefficients reproduce it exactly; the
@@ -284,39 +273,29 @@ class SBPatch:
         g = radial.greville()
         qg = self.c1 * g + self.c2
         net = qg[None, :, None] * (curve.points - self.x0)[:, None, :] + self.x0
-        if verify:
-            rng = np.random.default_rng(52)
-            zs = rng.uniform(0.0, 1.0, 20)
-            xs = rng.uniform(0.0, 1.0, 20)
-            direct = self.map(zs, xs)
-            f1, Dz = ders_basis(curve.kv, zs, 0)
-            f2, Dx = ders_basis(radial, xs, 0)
-            ii = np.add.outer(f1, np.arange(curve.p + 1))
-            jj = np.add.outer(f2, np.arange(radial.p + 1))
-            Bz = Dz[:, 0] * curve.weights[ii]
-            Bz = Bz / Bz.sum(axis=1, keepdims=True)
-            sub = net[ii[:, :, None], jj[:, None, :]]
-            recon = np.einsum("ni,nj,nijk->nk", Bz, Dx[:, 0], sub)
-            err = np.max(np.abs(recon - direct))
-            if err > 1e-10:
-                raise GeometryError(
-                    "control net reproduction error %.2e" % err, tag="net-construction-failed"
-                )
+        rng = np.random.default_rng(52)
+        zs = rng.uniform(0.0, 1.0, 20)
+        xs = rng.uniform(0.0, 1.0, 20)
+        direct = self.map(zs, xs)
+        f1, Dz = ders_basis(curve.kv, zs, 0)
+        f2, Dx = ders_basis(radial, xs, 0)
+        ii = np.add.outer(f1, np.arange(curve.p + 1))
+        jj = np.add.outer(f2, np.arange(radial.p + 1))
+        Bz = Dz[:, 0] * curve.weights[ii]
+        Bz = Bz / Bz.sum(axis=1, keepdims=True)
+        sub = net[ii[:, :, None], jj[:, None, :]]
+        recon = np.einsum("ni,nj,nijk->nk", Bz, Dx[:, 0], sub)
+        err = np.max(np.abs(recon - direct))
+        if err > 1e-10:
+            raise GeometryError(
+                "control net reproduction error %.2e" % err, tag="net-construction-failed"
+            )
         return net
 
     def with_segments(self, segments_zeta, segments_xi, r):
         """Patch with uniform segments inserted in both directions."""
         curve = self.curve.refine_to_segments(segments_zeta, r)
         radial = make_open_knot_vector(self.p, segments_xi, r)
-        return SBPatch(curve, self.x0, self.c1, self.c2, radial)
-
-    def refine(self, levels_zeta, levels_xi, r=None):
-        """Dyadic refinement: segment counts double per level."""
-        if r is None:
-            r = min(self.curve.kv.regularity(), self.radial.regularity())
-        curve = self.curve.refine_dyadic(levels_zeta, r)
-        seg = len(self.radial.breakpoints()) - 1
-        radial = make_open_knot_vector(self.p, seg * 2 ** levels_xi, r)
         return SBPatch(curve, self.x0, self.c1, self.c2, radial)
 
     def outer_edge_curve(self):
@@ -425,13 +404,12 @@ def _curves_mirror(ca, cb, tol=_MATCH_TOL):
     return np.max(np.abs(ca.weights - cb.weights[::-1])) <= 1e-10
 
 
-def make_domain(patches, bc=None, check_orientation=True, interfaces=None):
+def make_domain(patches, bc=None):
     """Assemble and validate a multipatch domain.
 
     Center groups are formed by exact (x0, c1, c2, radial) agreement; radial
     interfaces are detected from matching curve endpoint control points, and
-    straight outer interfaces between groups from mirrored xi=1 edges.  An
-    explicit ``interfaces`` list skips the detection but not the validation.
+    straight outer interfaces between groups from mirrored xi=1 edges.
     ``bc`` maps patch index (or 'all') to a tag for outer boundary edges.
     """
     if not patches:
@@ -459,71 +437,39 @@ def make_domain(patches, bc=None, check_orientation=True, interfaces=None):
                 break
         if not placed:
             groups.append(CenterGroup(pa.x0.copy(), pa.c1, pa.c2, pa.radial, [k]))
-    for g in groups:
-        for k in g.patches:
-            if not patches[k].radial == g.radial:
-                raise GeometryError("radial knot vectors differ in group", tag="topology-error")
 
     # orientation: detJ > 0 sampled
-    if check_orientation:
-        zs = np.array([0.12, 0.5, 0.93])
-        for k, pa in enumerate(patches):
-            det = pa.geom_eval(zs, 0.77).det
-            if np.any(det <= 0.0):
-                i = int(np.argmax(det <= 0.0))
-                raise GeometryError(
-                    "patch %d has non-positive Jacobian (det=%.3e at zeta=%.2f); "
-                    "boundary curves must run with the interior on their right"
-                    % (k, det[i], zs[i]),
-                    tag="topology-error",
-                )
-
-    explicit = interfaces
-    group_index = {}
-    for gi, g in enumerate(groups):
-        for k in g.patches:
-            group_index[k] = gi
+    zs = np.array([0.12, 0.5, 0.93])
+    for k, pa in enumerate(patches):
+        det = pa.geom_eval(zs, 0.77).det
+        if np.any(det <= 0.0):
+            i = int(np.argmax(det <= 0.0))
+            raise GeometryError(
+                "patch %d has non-positive Jacobian (det=%.3e at zeta=%.2f); "
+                "boundary curves must run with the interior on their right"
+                % (k, det[i], zs[i]),
+                tag="topology-error",
+            )
 
     # radial interfaces inside groups (gamma_L(1) == gamma_R(0))
     interfaces = []
     has_succ = set()
     has_pred = set()
-    if explicit is not None:
-        for itf in explicit:
-            if itf.kind != "radial":
-                continue
-            ca, cb = patches[itf.left].curve, patches[itf.right].curve
-            if group_index[itf.left] != group_index[itf.right] or not _same_point(
-                ca.points[-1], cb.points[0]
-            ):
-                raise GeometryError(
-                    "declared radial interface %d-%d does not match"
-                    % (itf.left, itf.right),
-                    tag="topology-error",
-                )
-            interfaces.append(
-                Interface("radial", itf.left, itf.right, corner=ca.points[-1].copy())
-            )
-            has_succ.add(itf.left)
-            has_pred.add(itf.right)
-    else:
-        for g in groups:
-            for a in g.patches:
-                for b in g.patches:
-                    if a == b:
-                        continue
-                    ca, cb = patches[a].curve, patches[b].curve
-                    if _same_point(ca.points[-1], cb.points[0]):
-                        if a in has_succ or b in has_pred:
-                            raise GeometryError(
-                                "ambiguous radial interface at patch %d-%d" % (a, b),
-                                tag="topology-error",
-                            )
-                        interfaces.append(
-                            Interface("radial", a, b, corner=ca.points[-1].copy())
+    for g in groups:
+        for a in g.patches:
+            for b in g.patches:
+                if a == b:
+                    continue
+                ca, cb = patches[a].curve, patches[b].curve
+                if _same_point(ca.points[-1], cb.points[0]):
+                    if a in has_succ or b in has_pred:
+                        raise GeometryError(
+                            "ambiguous radial interface at patch %d-%d" % (a, b),
+                            tag="topology-error",
                         )
-                        has_succ.add(a)
-                        has_pred.add(b)
+                    interfaces.append(Interface("radial", a, b, corner=ca.points[-1].copy()))
+                    has_succ.add(a)
+                    has_pred.add(b)
     for g in groups:
         for a in g.patches:
             for b in g.patches:
@@ -541,47 +487,32 @@ def make_domain(patches, bc=None, check_orientation=True, interfaces=None):
                     )
 
     # outer interfaces across groups (mirrored xi=1 edges)
-    def _check_outer(a, b):
-        ca = patches[a].outer_edge_curve()
-        cb = patches[b].outer_edge_curve()
-        if not _curves_mirror(ca, cb):
-            raise GeometryError(
-                "outer edges of patches %d/%d coincide but control data does "
-                "not mirror" % (a, b),
-                tag="topology-error",
-            )
-        if not ca.is_straight(1e-10):
-            raise GeometryError(
-                "interface between center groups (patches %d/%d) is not "
-                "straight" % (a, b),
-                tag="topology-error",
-            )
-
     outer_matched = set()
-    if explicit is not None:
-        for itf in explicit:
-            if itf.kind != "outer":
-                continue
-            _check_outer(itf.left, itf.right)
-            interfaces.append(Interface("outer", itf.left, itf.right))
-            outer_matched.update((itf.left, itf.right))
-    else:
-        for gi, ga in enumerate(groups):
-            for gb in groups[gi + 1 :]:
-                for a in ga.patches:
-                    for b in gb.patches:
-                        ca = patches[a].outer_edge_curve()
-                        cb = patches[b].outer_edge_curve()
-                        if _same_point(ca.start(), cb.end()) and _same_point(
-                            ca.end(), cb.start()
-                        ):
-                            ts = np.linspace(0.07, 0.93, 7)
-                            gap = np.max(np.abs(ca.eval(ts) - cb.eval(1.0 - ts)))
-                            if gap > 1e-9:
-                                continue  # shared endpoints only (two hole halves)
-                            _check_outer(a, b)
-                            interfaces.append(Interface("outer", a, b))
-                            outer_matched.update((a, b))
+    for gi, ga in enumerate(groups):
+        for gb in groups[gi + 1 :]:
+            for a in ga.patches:
+                for b in gb.patches:
+                    ca = patches[a].outer_edge_curve()
+                    cb = patches[b].outer_edge_curve()
+                    if _same_point(ca.start(), cb.end()) and _same_point(ca.end(), cb.start()):
+                        ts = np.linspace(0.07, 0.93, 7)
+                        gap = np.max(np.abs(ca.eval(ts) - cb.eval(1.0 - ts)))
+                        if gap > 1e-9:
+                            continue  # shared endpoints only (two hole halves)
+                        if not _curves_mirror(ca, cb):
+                            raise GeometryError(
+                                "outer edges of patches %d/%d coincide but control "
+                                "data does not mirror" % (a, b),
+                                tag="topology-error",
+                            )
+                        if not ca.is_straight(1e-10):
+                            raise GeometryError(
+                                "interface between center groups (patches %d/%d) is "
+                                "not straight" % (a, b),
+                                tag="topology-error",
+                            )
+                        interfaces.append(Interface("outer", a, b))
+                        outer_matched.update((a, b))
 
     # boundary edges
     boundary = []

@@ -4,7 +4,7 @@ A case config is a single JSON document:
 
 {
   "geometry": {"builtin": "square4", "params": {"offset": [-0.15, 0.1]}},
-  "discretization": {"p": 3, "r": 1, "quad_order": null,
+  "discretization": {"p": 3, "r": 1, "quad_order": null, "tol_null": 1e-10,
                      "stabilize": {"enabled": false, "fine_segments": null}},
   "material": {"E": 1e4, "nu": 0.0, "D": 1.0},          # exactly one of t | D
   "bcs": {"all": "clamped"},                            # or per_patch / groups
@@ -18,8 +18,9 @@ A case config is a single JSON document:
               "eval_point": [0, 0]}
 }
 
-Sections with a fixed key set reject unknown keys with a ConfigError that
-names the key's path (e.g. ``study.segmentz``).
+Sections with a fixed key set reject unknown keys, and malformed values
+raise a ConfigError, with a message that names the key's path (e.g.
+``study.segmentz``).
 """
 
 import ast
@@ -33,6 +34,7 @@ from . import models
 from .coupling import build_coupled_space, verify_asg1, asg1_coefficients, c1_jump_report, reproduction_vector
 from .errors import ConfigError
 from .geometry import apply_bc_tags, locate_point
+from .trim import assemble_trimmed_domain
 from .plate import (
     LoadSpec,
     PlateMaterial,
@@ -43,7 +45,7 @@ from .plate import (
     point_load_reference,
     solve_plate,
 )
-from .stabilize import CombinedSpaceSpec, build_combined_space
+from .stabilize import build_combined_space
 
 __all__ = ["CaseConfig", "ResultRow", "run_case", "verify_case", "export_case", "write_csv"]
 
@@ -54,6 +56,12 @@ CSV_COLUMNS = [
 
 _BUILTIN_EXACT = {"cos2_square": cos2_square}
 
+
+def _trimmed(builder):
+    """Builder of the trimmed domain of a (square, TrimSpec) model."""
+    return lambda **params: assemble_trimmed_domain(*builder(**params))
+
+
 _GEOMETRY_BUILDERS = {
     "square4": models.square4,
     "disk4": models.disk4,
@@ -61,6 +69,8 @@ _GEOMETRY_BUILDERS = {
     "two_blocks_square": models.two_blocks_square,
     "perforated_disk": models.perforated_disk,
     "l_bracket": models.l_bracket,
+    "chamfered_square": _trimmed(models.chamfered_square),
+    "square_with_hole": _trimmed(models.square_with_hole),
 }
 
 
@@ -94,7 +104,7 @@ _SECTION_KEYS = {
     "": {"description", "geometry", "discretization", "material", "bcs", "loads",
          "exact", "reference", "study", "outputs"},
     "geometry": {"builtin", "params"},
-    "discretization": {"p", "r", "quad_order", "interface_quad", "tol_null", "stabilize"},
+    "discretization": {"p", "r", "quad_order", "tol_null", "stabilize"},
     "discretization.stabilize": {"enabled", "fine_segments"},
     "material": {"E", "nu", "t", "D"},
     "bcs": {"all", "per_patch", "groups"},
@@ -108,18 +118,36 @@ _SECTION_KEYS = {
 }
 
 
+_LIST_SECTIONS = {"loads.point", "loads.edges"}
+
+
 def _check_keys(sec, name="", path=""):
-    """Raise ConfigError naming the path of the first unknown key."""
+    """Raise ConfigError naming the path of the first unknown key or of a
+    section that is not an object (a list of objects in _LIST_SECTIONS);
+    a null section counts as empty."""
     for key in sorted(sec):
         if key not in _SECTION_KEYS[name]:
             raise ConfigError("unknown config key %r" % (path + key), tag="config-error")
         child, val = (name + "." + key).lstrip("."), sec[key]
-        if child in _SECTION_KEYS:
-            entries = enumerate(val) if isinstance(val, list) else [(None, val)]
-            for k, entry in entries:
-                if isinstance(entry, dict):
-                    sub = path + key + ("." if k is None else "[%d]." % k)
-                    _check_keys(entry, child, sub)
+        if child not in _SECTION_KEYS or val is None:
+            continue
+        if child in _LIST_SECTIONS:
+            if not (isinstance(val, list) and all(isinstance(e, dict) for e in val)):
+                raise ConfigError("%s must be a list of objects" % (path + key), tag="config-error")
+            for k, entry in enumerate(val):
+                _check_keys(entry, child, "%s%s[%d]." % (path, key, k))
+        elif not isinstance(val, dict):
+            raise ConfigError("%s must be an object" % (path + key), tag="config-error")
+        else:
+            _check_keys(val, child, path + key + ".")
+
+
+def _number(val, path, kind=int):
+    """kind(val), or a ConfigError naming ``path``."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be a number, got %r" % (path, val), tag="config-error") from None
 
 
 _EXPR_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: np.pi}
@@ -191,39 +219,46 @@ class CaseConfig:
     """Validated case description; raises ConfigError with a path hint."""
 
     def __init__(self, doc):
-        if isinstance(doc, dict):
-            _check_keys(doc)
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object", tag="config-error")
+        _check_keys(doc)
         self.doc = doc
         geo = self._get("geometry", dict)
         if "builtin" not in geo:
             raise ConfigError("geometry.builtin is required", tag="config-error")
-        if geo["builtin"] not in _GEOMETRY_BUILDERS and geo["builtin"] not in (
-            "chamfered_square",
-            "square_with_hole",
-        ):
+        if geo["builtin"] not in _GEOMETRY_BUILDERS:
             raise ConfigError("unknown geometry %r" % geo["builtin"], tag="config-error")
         dis = self._get("discretization", dict)
-        self.p = int(dis.get("p", 3))
-        self.r = int(dis.get("r", 1))
+        self.p = _number(dis.get("p", 3), "discretization.p")
+        self.r = _number(dis.get("r", 1), "discretization.r")
         if not 0 <= self.r <= self.p - 1:
             raise ConfigError("discretization.r must satisfy 0 <= r <= p-1", tag="config-error")
         self.quad_order = dis.get("quad_order")
-        self.interface_quad = dis.get("interface_quad")
-        self.tol_null = float(dis.get("tol_null", 1e-10))
+        if self.quad_order is not None:
+            self.quad_order = _number(self.quad_order, "discretization.quad_order")
+        self.tol_null = _number(dis.get("tol_null", 1e-10), "discretization.tol_null", float)
         st = dis.get("stabilize", {}) or {}
         self.stabilize = bool(st.get("enabled", False))
         self.stabilize_fine = st.get("fine_segments")
+        if self.stabilize_fine is not None:
+            self.stabilize_fine = _number(self.stabilize_fine, "discretization.stabilize.fine_segments")
         mat = self._get("material", dict)
         if ("t" in mat) == ("D" in mat):
             raise ConfigError("material needs exactly one of t or D", tag="config-error")
+        num = {k: _number(v, "material." + k, float) for k, v in mat.items()}
+        if not 0.0 <= num.get("nu", 0.0) < 0.5:
+            raise ConfigError("material.nu must lie in [0, 0.5)", tag="config-error")
         self.material = PlateMaterial(
-            mat.get("E", 1.0), mat.get("nu", 0.0), t=mat.get("t"), D=mat.get("D")
+            num.get("E", 1.0), num.get("nu", 0.0), t=num.get("t"), D=num.get("D")
         )
         self.bcs = doc.get("bcs", {}) or {}
         for tag in self._bc_tags(self.bcs):
             if tag not in ("clamped", "simply_supported", "free"):
                 raise ConfigError("unknown bc tag %r" % tag, tag="config-error")
         self.loads = doc.get("loads", {}) or {}
+        for k, pl in enumerate(self.loads.get("point") or []):
+            if "at" not in pl:
+                raise ConfigError("loads.point[%d].at is required" % k, tag="config-error")
         surface = self.loads.get("surface")
         self.surface_expr = None
         if isinstance(surface, dict) and "expr" in surface:
@@ -233,7 +268,10 @@ class CaseConfig:
             raise ConfigError("unknown exact solution %r" % self.exact_name, tag="config-error")
         self.reference = doc.get("reference")
         study = doc.get("study", {}) or {}
-        self.segments = [int(s) for s in study.get("segments", [1])]
+        segments = study.get("segments", [1])
+        if not isinstance(segments, list):
+            raise ConfigError("study.segments must be a list", tag="config-error")
+        self.segments = [_number(s, "study.segments[%d]" % k) for k, s in enumerate(segments)]
         if any(s < 1 for s in self.segments):
             raise ConfigError("study.segments must be >= 1", tag="config-error")
         self.outputs = doc.get("outputs", {}) or {}
@@ -271,21 +309,13 @@ class CaseConfig:
         geo = self.doc["geometry"]
         name = geo["builtin"]
         params = dict(geo.get("params", {}))
-        info = {}
-        if name in ("chamfered_square", "square_with_hole"):
-            from .trim import assemble_trimmed_domain
-
-            builder = getattr(models, name)
-            square, spec = builder(degree=self.p, **params)
-            domain = assemble_trimmed_domain(square, spec)
-        else:
-            built = _GEOMETRY_BUILDERS[name](degree=self.p, **params)
-            domain, info = built if isinstance(built, tuple) else (built, {})
+        built = _GEOMETRY_BUILDERS[name](degree=self.p, **params)
+        domain, info = built if isinstance(built, tuple) else (built, {})
         bc = {}
         if "all" in self.bcs:
             bc["all"] = self.bcs["all"]
         for k, v in (self.bcs.get("per_patch") or {}).items():
-            bc[int(k)] = v
+            bc[_number(k, "bcs.per_patch")] = v
         for gname, tag in (self.bcs.get("groups") or {}).items():
             if gname not in info:
                 raise ConfigError(
@@ -298,8 +328,8 @@ class CaseConfig:
         if bc:
             apply_bc_tags(domain, bc)
         npatches = len(domain.patches)
-        for e in self.loads.get("edges", []):
-            if "patch" in e and not 0 <= int(e["patch"]) < npatches:
+        for k, e in enumerate(self.loads.get("edges") or []):
+            if "patch" in e and not 0 <= _number(e["patch"], "loads.edges[%d].patch" % k) < npatches:
                 raise ConfigError(
                     "loads.edges patch %d is not in 0..%d" % (int(e["patch"]), npatches - 1),
                     tag="config-error",
@@ -309,17 +339,9 @@ class CaseConfig:
     def build_space(self, base_domain, segments):
         if self.stabilize:
             fine = self.stabilize_fine or segments
-            return build_combined_space(
-                base_domain,
-                CombinedSpaceSpec(fine),
-                self.r,
-                tol_null=self.tol_null,
-                interface_quad=self.interface_quad,
-            )
+            return build_combined_space(base_domain, fine, self.r, tol_null=self.tol_null)
         dom = base_domain.with_segments(segments, segments, self.r)
-        return build_coupled_space(
-            dom, tol_null=self.tol_null, interface_quad=self.interface_quad
-        )
+        return build_coupled_space(dom, tol_null=self.tol_null)
 
     def exact_solution(self):
         return _BUILTIN_EXACT[self.exact_name]() if self.exact_name else None
@@ -370,13 +392,13 @@ class CaseConfig:
         raise ConfigError("unrecognized reference", tag="config-error")
 
 
-def run_case(cfg, csv_path=None, quad_order=None, progress=None):
+def run_case(cfg, csv_path=None, progress=None):
     """Execute the study of a config; returns (rows, last solution)."""
     base, info = cfg.build_base_domain()
     exact = cfg.exact_solution()
     loads = cfg.load_spec(info)
     uref = cfg.reference_value()
-    quad = quad_order or cfg.quad_order
+    quad = cfg.quad_order
     rows = []
     solution = None
     for s in cfg.segments:
@@ -426,6 +448,12 @@ def convergence_table(rows):
 def verify_case(cfg, checks=("all",)):
     """Geometry/space verification; returns (ok, report lines)."""
     checks = set(checks)
+    unknown = checks - {"asg1", "c1-jump", "reproduction", "all"}
+    if unknown:
+        raise ConfigError(
+            "unknown checks %s; choose from asg1, c1-jump, reproduction, all"
+            % ", ".join(map(repr, sorted(unknown))), tag="config-error",
+        )
     if "all" in checks:
         checks = {"asg1", "c1-jump", "reproduction"}
     base, info = cfg.build_base_domain()
@@ -475,9 +503,9 @@ def _reproduction_error(cspace, which, nsamples=40, rng=None):
     return worst
 
 
-def export_case(cfg, out_path, quad_order=None):
+def export_case(cfg, out_path):
     from .vtkio import export_field
 
-    rows, solution = run_case(cfg, quad_order=quad_order)
+    rows, solution = run_case(cfg)
     grid = cfg.outputs.get("sample_grid", [9, 9])
     return export_field(solution, grid, out_path)

@@ -23,9 +23,9 @@ second-order pullback, :func:`_pullback`, maps parametric second
 derivatives to physical Hessians, of single functions and of fields alike,
 since it is linear in them.  Gradients at
 points use the LAPACK inverse of J and the quadrature rows its closed form;
-the two agree to roundoff, and the point form stays because the jump Gram
-matrix MJ is built from it and roundoff-limited results (the finest-mesh
-L2 errors) follow the rounding of MJ's null-space basis.
+the two agree to roundoff, and the point form stays because the jump rows C
+are built from it: the bits of C, and through the C1 basis the CSV, follow
+its rounding.
 """
 
 import numpy as np

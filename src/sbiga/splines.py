@@ -1,5 +1,5 @@
 """B-spline / NURBS kernels: knot vectors, basis evaluation, derivatives,
-knot insertion and tensor-product spaces.
+knot insertion and Gauss rules.
 
 Conventions used throughout the package:
 
@@ -22,12 +22,9 @@ __all__ = [
     "make_open_knot_vector",
     "eval_basis",
     "eval_deriv",
-    "eval_nurbs",
     "ders_basis",
     "nurbs_ders_basis",
     "insert_knot",
-    "TensorSplineSpace",
-    "BasisEval",
     "gauss_points",
 ]
 
@@ -278,17 +275,6 @@ def nurbs_ders_basis(kv, weights, t, nders):
     return first, np.moveaxis(R, 0, -2)
 
 
-def eval_nurbs(kv, weights, i, t, order=0):
-    """Value/derivative of the i-th univariate NURBS basis function."""
-    if not 0 <= i < kv.n:
-        raise SplineError("basis index %d out of range" % i, tag="invalid-index")
-    first, R = nurbs_ders_basis(kv, weights, t, max(order, 0))
-    j = i - first
-    if not 0 <= j <= kv.p:
-        return 0.0
-    return R[order, j]
-
-
 def boehm_insert(U, ctrl, p, t, times):
     """Insert t ``times`` times into the knot list U of degree p.
 
@@ -326,79 +312,6 @@ def insert_knot(kv, ctrl, t, times=1):
     U = kv.values.tolist()
     ctrl = boehm_insert(U, ctrl, kv.p, t, times)
     return KnotVector(U, kv.p), ctrl
-
-
-class BasisEval:
-    """Active bivariate functions at one parametric point.
-
-    ``indices`` holds (i, j) pairs; ``values``, ``grads`` and ``hessians``
-    are parametric (per active function).
-    """
-
-    __slots__ = ("point", "indices", "values", "grads", "hessians")
-
-    def __init__(self, point, indices, values, grads, hessians):
-        self.point = point
-        self.indices = indices
-        self.values = values
-        self.grads = grads
-        self.hessians = hessians
-
-
-class TensorSplineSpace:
-    """Bivariate tensor space kv_zeta x kv_xi with optional NURBS weights.
-
-    For scaled-boundary use the weight function depends on zeta only;
-    pass a weight vector of length n1 (or a full (n1, n2) table whose
-    columns are constant along xi).
-    """
-
-    def __init__(self, kv_zeta, kv_xi, weights=None):
-        self.kv_zeta = kv_zeta
-        self.kv_xi = kv_xi
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.ndim == 2:
-                if weights.shape != (kv_zeta.n, kv_xi.n):
-                    raise SplineError("weight table shape mismatch", tag="invalid-weights")
-                if not np.allclose(weights, weights[:, :1], rtol=0.0, atol=1e-14):
-                    raise SplineError(
-                        "SB weights must be constant along xi", tag="invalid-weights"
-                    )
-                weights = weights[:, 0]
-            if weights.shape != (kv_zeta.n,):
-                raise SplineError("weight vector length mismatch", tag="invalid-weights")
-            if np.any(weights <= 0.0):
-                raise SplineError("weights must be strictly positive", tag="invalid-weights")
-        self.weights = weights
-
-    @property
-    def shape(self):
-        return (self.kv_zeta.n, self.kv_xi.n)
-
-    def eval(self, zeta, xi, nders=2):
-        """Values, parametric gradients and Hessians of active functions."""
-        if self.weights is None:
-            f1, Dz = ders_basis(self.kv_zeta, zeta, nders)
-        else:
-            f1, Dz = nurbs_ders_basis(self.kv_zeta, self.weights, zeta, nders)
-        f2, Dx = ders_basis(self.kv_xi, xi, nders)
-        p1, p2 = self.kv_zeta.p, self.kv_xi.p
-        idx = [(f1 + a, f2 + b) for a in range(p1 + 1) for b in range(p2 + 1)]
-        vals = np.outer(Dz[0], Dx[0]).ravel()
-        grads = np.stack(
-            [np.outer(Dz[1], Dx[0]).ravel(), np.outer(Dz[0], Dx[1]).ravel()], axis=1
-        )
-        hzz = np.outer(Dz[2], Dx[0]).ravel() if nders >= 2 else None
-        hzx = np.outer(Dz[1], Dx[1]).ravel() if nders >= 2 else None
-        hxx = np.outer(Dz[0], Dx[2]).ravel() if nders >= 2 else None
-        hess = None
-        if nders >= 2:
-            hess = np.empty((len(vals), 2, 2))
-            hess[:, 0, 0] = hzz
-            hess[:, 0, 1] = hess[:, 1, 0] = hzx
-            hess[:, 1, 1] = hxx
-        return BasisEval((zeta, xi), idx, vals, grads, hess)
 
 
 _gauss_cache = {}

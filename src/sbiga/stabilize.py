@@ -19,25 +19,18 @@ from .errors import CouplingError
 from .space import PatchBlock, UncoupledSpace
 from .coupling import build_coupled_space
 
-__all__ = ["CombinedSpaceSpec", "build_combined_space", "combined_uncoupled_space"]
+__all__ = ["build_combined_space", "combined_uncoupled_space"]
 
 
-class CombinedSpaceSpec:
-    """Fine segment counts (zeta and xi) for the combined space."""
-
-    def __init__(self, fine_segments_zeta, fine_segments_xi=None):
-        self.fine_segments_zeta = int(fine_segments_zeta)
-        self.fine_segments_xi = int(fine_segments_xi or fine_segments_zeta)
-
-
-def combined_uncoupled_space(base_domain, spec, r):
+def combined_uncoupled_space(base_domain, fine_segments, r):
     """Uncoupled fine/coarse block selection on the refined domain.
 
     ``base_domain`` carries the unrefined boundary curves (their zeta mesh
-    is the coarse mesh).  Returns (refined domain, UncoupledSpace).
+    is the coarse mesh); the fine mesh has ``fine_segments`` spans in both
+    directions.  Returns (refined domain, UncoupledSpace).
     """
     p = base_domain.p
-    fine = base_domain.with_segments(spec.fine_segments_zeta, spec.fine_segments_xi, r)
+    fine = base_domain.with_segments(fine_segments, fine_segments, r)
     n2 = fine.patches[0].radial.n
     blocks = []
     for base_pa, fine_pa in zip(base_domain.patches, fine.patches):
@@ -55,13 +48,7 @@ def combined_uncoupled_space(base_domain, spec, r):
     return fine, UncoupledSpace(fine, blocks)
 
 
-def build_combined_space(base_domain, spec, r, bc=None, tol_null=1e-10, interface_quad=None):
+def build_combined_space(base_domain, fine_segments, r, tol_null=1e-10):
     """Combined-space analogue of :func:`sbiga.coupling.build_coupled_space`."""
-    fine, uspace = combined_uncoupled_space(base_domain, spec, r)
-    if bc is not None:
-        from .geometry import apply_bc_tags
-
-        apply_bc_tags(fine, bc)
-    return build_coupled_space(
-        fine, tol_null=tol_null, interface_quad=interface_quad, uspace=uspace
-    )
+    fine, uspace = combined_uncoupled_space(base_domain, fine_segments, r)
+    return build_coupled_space(fine, tol_null=tol_null, uspace=uspace)

@@ -98,7 +98,7 @@ def _resolve(ref, boundary_pieces, trim_pieces, degree):
     return cur.reversed_curve() if rev else cur
 
 
-def assemble_trimmed_domain(domain, spec, bc=None):
+def assemble_trimmed_domain(domain, spec):
     """Split, reassemble and validate the trimmed multipatch domain.
 
     ``domain`` provides the untrimmed boundary curves (one per patch).
@@ -158,4 +158,4 @@ def assemble_trimmed_domain(domain, spec, bc=None):
                     tag="not-star-shaped",
                 )
             patches.append(pa)
-    return make_domain(patches, bc=bc)
+    return make_domain(patches)

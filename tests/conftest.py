@@ -18,7 +18,7 @@ from sbiga.plate import (
     point_load_reference,
     solve_plate,
 )
-from sbiga.stabilize import CombinedSpaceSpec, build_combined_space
+from sbiga.stabilize import build_combined_space
 
 
 class Study:
@@ -37,7 +37,7 @@ def smooth_square_study(p, segment_list, stabilized=False):
     for s in segment_list:
         if stabilized:
             cs = build_combined_space(
-                square4(degree=p, bc={"all": "clamped"}), CombinedSpaceSpec(s), 1
+                square4(degree=p, bc={"all": "clamped"}), s, 1
             )
         else:
             dom = square4(degree=p, bc={"all": "clamped"}).with_segments(s, s, 1)
@@ -60,7 +60,7 @@ def point_load_study(segment_list, stabilized=False, p=3):
     for s in segment_list:
         base = square4(degree=p, offset=(0.0, 0.0), bc={"all": "simply_supported"})
         if stabilized:
-            cs = build_combined_space(base, CombinedSpaceSpec(s), 1)
+            cs = build_combined_space(base, s, 1)
         else:
             cs = build_coupled_space(base.with_segments(s, s, 1))
         sol = solve_plate(cs, mat, loads, cond=False)
@@ -133,6 +133,6 @@ def example_spaces():
         assemble_trimmed_domain(*square_with_hole(degree=3)).with_segments(2, 2, 1)
     )
     spaces["stabilized_square"] = build_combined_space(
-        square4(degree=3), CombinedSpaceSpec(4), 1
+        square4(degree=3), 4, 1
     )
     return spaces

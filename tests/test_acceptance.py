@@ -204,20 +204,23 @@ def test_criterion_09_rank_oracle():
 
 
 def test_criterion_10_kernel_properties():
-    from sbiga.splines import TensorSplineSpace, eval_basis, eval_deriv, make_open_knot_vector
+    from sbiga.splines import eval_basis, eval_deriv, make_open_knot_vector
     from sbiga.geometry import circle_arc
+    from sbiga.space import UncoupledSpace
     from sbiga.trim import split_curve
 
     rng = np.random.default_rng(23)
     msgs = []
 
-    # partition of unity / derivative sums at 1000 random points
-    space = TensorSplineSpace(make_open_knot_vector(3, 4, 1), make_open_knot_vector(3, 4, 1))
-    worst_v = worst_g = 0.0
-    for z, x in rng.uniform(0, 1, (1000, 2)):
-        be = space.eval(z, x, nders=1)
-        worst_v = max(worst_v, abs(be.values.sum() - 1.0))
-        worst_g = max(worst_g, np.max(np.abs(be.grads.sum(axis=0))))
+    # partition of unity / derivative sums at 1000 random points of the
+    # tensor basis kv x kv, kv = (3, 4, 1): patch 0 of the refined square
+    space = UncoupledSpace.from_domain(square4(degree=3).with_segments(4, 4, 1))
+    blk = space.blocks[0][0]
+    assert blk.curve.kv == make_open_knot_vector(3, 4, 1) == blk.radial
+    zx = rng.uniform(0, 1, (1000, 2))
+    _, V, D10, D01 = space.parametric_eval(0, zx[:, 0], zx[:, 1], nders=1)[:4]
+    worst_v = np.max(np.abs(V.sum(axis=1) - 1.0))
+    worst_g = max(np.max(np.abs(D10.sum(axis=1))), np.max(np.abs(D01.sum(axis=1))))
     msgs.append("PoU %.1e" % worst_v)
     assert worst_v <= 1e-12 and worst_g <= 1e-9
 

@@ -168,14 +168,14 @@ class TestPhysicalDerivs:
 class TestRefine:
     def test_geometry_invariance(self):
         pa = make_curved_patch()
-        ref = pa.refine(1, 1)
+        ref = pa.with_segments(4, 4, 1)
         rng = np.random.default_rng(5)
         zs, xs = rng.uniform(0, 1, (2, 100))
         assert np.max(np.abs(pa.map(zs, xs) - ref.map(zs, xs))) <= 1e-12
 
     def test_segments_double(self):
         pa = make_curved_patch()
-        ref = pa.refine(2, 1)
+        ref = pa.with_segments(8, 4, 1)
         assert len(ref.curve.kv.breakpoints()) - 1 == 8
         assert len(ref.radial.breakpoints()) - 1 == 4
 

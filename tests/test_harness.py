@@ -212,6 +212,27 @@ class TestCli:
         doc = dict(SMOOTH, loads={"edges": [{"patch": 7, "Q": 1.0}]})
         assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize("change,path", [
+        ({"study": {"segments": 4}}, "study.segments"),
+        ({"study": {"segments": ["a"]}}, r"study.segments\[0\]"),
+        ({"discretization": {"p": "x", "r": 1}}, "discretization.p"),
+        ({"study": 5}, "study"),
+        ({"loads": {"point": [{"F": 1.0}]}}, r"loads.point\[0\].at"),
+        ({"material": {"E": 1e4, "nu": 0.7, "D": 1.0}}, "material.nu"),
+    ])
+    def test_malformed_value_exit_code_2(self, tmp_path, change, path):
+        doc = dict(SMOOTH, **change)
+        with pytest.raises(ConfigError, match=path) as exc:
+            CaseConfig(doc)
+        assert exc.value.tag == "config-error"
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("checks", ["asg2", "", "asg1,c1jump"])
+    def test_unknown_verify_check_exit_code_2(self, tmp_path, checks, capsys):
+        path = write_cfg(tmp_path, SMOOTH)
+        assert cli_main(["verify", path, "--checks", checks]) == 2
+        assert "unknown checks" in capsys.readouterr().err
+
     def test_cli_process_entry(self, tmp_path):
         doc = dict(SMOOTH, study={"segments": [2]})
         path = write_cfg(tmp_path, doc)
@@ -317,10 +338,10 @@ class TestStabilizedConfig:
         cfg = CaseConfig.from_file(write_cfg(tmp_path, doc))
         base, _ = cfg.build_base_domain()
         cs = cfg.build_space(base, 2)
-        from sbiga.stabilize import CombinedSpaceSpec, build_combined_space
+        from sbiga.stabilize import build_combined_space
 
         ref_base, _ = cfg.build_base_domain()
-        ref = build_combined_space(ref_base, CombinedSpaceSpec(4), 1)
+        ref = build_combined_space(ref_base, 4, 1)
         assert (cs.N, cs.N4, cs.N6) == (ref.N, ref.N4, ref.N6)
 
 

@@ -30,7 +30,7 @@ from sbiga.plate import (
     solve_plate,
 )
 from sbiga.splines import KnotVector
-from sbiga.stabilize import CombinedSpaceSpec, build_combined_space
+from sbiga.stabilize import build_combined_space
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,7 @@ def _plate_system(p, s, stabilized=False, point_load=False):
         mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
         loads = LoadSpec(surface=manufactured_rhs(cos2_square(), mat.D))
     if stabilized:
-        cs = build_combined_space(base, CombinedSpaceSpec(s), 1)
+        cs = build_combined_space(base, s, 1)
     else:
         cs = build_coupled_space(base.with_segments(s, s, 1))
     return sp.csc_matrix(assemble_stiffness(cs, mat)), assemble_load(cs, loads)
@@ -443,7 +443,7 @@ def kernel_case(request):
         return build_coupled_space(fan2(degree=3, bc={"all": "clamped"}).with_segments(4, 4, 1))
     if request.param == "stabilized_p5_s8":
         return build_combined_space(
-            square4(degree=5, bc={"all": "clamped"}), CombinedSpaceSpec(8), 1
+            square4(degree=5, bc={"all": "clamped"}), 8, 1
         )
     return build_coupled_space(perforated_disk(degree=3)[0].with_segments(2, 2, 1))
 

@@ -16,7 +16,7 @@ from sbiga.coupling import build_m0
 from sbiga.harness import CaseConfig
 from sbiga.space import UncoupledSpace
 from sbiga.splines import KnotVector, ders_basis, insert_knot, make_open_knot_vector
-from sbiga.stabilize import CombinedSpaceSpec, combined_uncoupled_space
+from sbiga.stabilize import combined_uncoupled_space
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted(
@@ -100,7 +100,7 @@ class TestConfigLevels:
         cfg, base = _config_levels(path)
         for s in cfg.segments:
             if cfg.stabilize:
-                _, us = combined_uncoupled_space(base, CombinedSpaceSpec(cfg.stabilize_fine or s), cfg.r)
+                _, us = combined_uncoupled_space(base, cfg.stabilize_fine or s, cfg.r)
             else:
                 us = UncoupledSpace.from_domain(base.with_segments(s, s, cfg.r))
             assert_same_m0(build_m0(us), us)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from sbiga.errors import SplineError
-from sbiga.geometry import circle_arc, line_curve
+from sbiga.geometry import NurbsCurve, SBPatch, circle_arc, line_curve, make_domain
+from sbiga.models import square4
+from sbiga.space import UncoupledSpace
 from sbiga.splines import (
     KnotVector,
-    TensorSplineSpace,
     ders_basis,
     eval_basis,
     eval_deriv,
-    eval_nurbs,
     insert_knot,
     make_open_knot_vector,
     nurbs_ders_basis,
@@ -177,22 +177,32 @@ class TestEvalDeriv:
             eval_deriv(kv, 0, 0.5, 2)
 
 
+def nurbs_all(kv, w, t, order):
+    """order-th derivative of all kv.n NURBS basis functions at t, zero
+    outside the active window of nurbs_ders_basis."""
+    first, R = nurbs_ders_basis(kv, w, t, order)
+    out = np.zeros(kv.n)
+    out[first : first + kv.p + 1] = R[order]
+    return out
+
+
 class TestNurbs:
     def test_unit_weights_reduce_to_bspline(self):
         kv = make_open_knot_vector(3, 3, 1)
         w = np.ones(kv.n)
         rng = np.random.default_rng(6)
         for t in rng.uniform(0, 1, 15):
+            R0, R1 = nurbs_all(kv, w, t, 0), nurbs_all(kv, w, t, 1)
             for i in range(kv.n):
-                assert eval_nurbs(kv, w, i, t, 0) == pytest.approx(eval_basis(kv, i, t), abs=1e-14)
-                assert eval_nurbs(kv, w, i, t, 1) == pytest.approx(eval_deriv(kv, i, t, 1), abs=1e-11)
+                assert R0[i] == pytest.approx(eval_basis(kv, i, t), abs=1e-14)
+                assert R1[i] == pytest.approx(eval_deriv(kv, i, t, 1), abs=1e-11)
 
     def test_rational_partition_of_unity(self):
         kv = make_open_knot_vector(2, 2, 1)
         rng = np.random.default_rng(7)
         w = rng.uniform(0.5, 2.0, kv.n)
         for t in rng.uniform(0, 1, 20):
-            assert sum(eval_nurbs(kv, w, i, t, 0) for i in range(kv.n)) == pytest.approx(1.0, abs=1e-12)
+            assert sum(nurbs_all(kv, w, t, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_circle_on_unit_circle(self):
         arc = circle_arc((0.0, 0.0), 1.0, 0.0, -0.5 * np.pi, 2)
@@ -217,7 +227,7 @@ class TestNurbs:
     def test_nonpositive_weight_rejected(self):
         kv = make_open_knot_vector(2, 1, 1)
         with pytest.raises(SplineError):
-            eval_nurbs(kv, [1.0, 0.0, 1.0], 0, 0.5, 0)
+            nurbs_ders_basis(kv, [1.0, 0.0, 1.0], 0.5, 0)
 
 
 class TestInsertKnot:
@@ -253,36 +263,41 @@ class TestInsertKnot:
 
 
 class TestTensorSpace:
+    """The tensor basis of one patch through UncoupledSpace.parametric_eval."""
+
     def setup_method(self):
-        self.space = TensorSplineSpace(
-            make_open_knot_vector(3, 2, 1), make_open_knot_vector(3, 3, 1)
-        )
+        # patch 0 of the refined square: zeta kv (3, 2, 1), radial kv (3, 3, 1)
+        self.space = UncoupledSpace.from_domain(square4(degree=3).with_segments(2, 3, 1))
+        self.blk = self.space.blocks[0][0]
+        assert self.blk.curve.kv == make_open_knot_vector(3, 2, 1)
+        assert self.blk.radial == make_open_knot_vector(3, 3, 1)
 
     def test_partition_of_unity_and_grad_sum(self):
         rng = np.random.default_rng(10)
         for z, x in rng.uniform(0, 1, (50, 2)):
-            be = self.space.eval(z, x)
-            assert be.values.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.allclose(be.grads.sum(axis=0), 0.0, atol=1e-9)
-            assert len(be.indices) <= (3 + 1) ** 2
+            idx, V, D10, D01 = self.space.parametric_eval(0, z, x, nders=1)[:4]
+            assert V.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose([D10.sum(), D01.sum()], 0.0, atol=1e-9)
+            assert len(idx) <= (3 + 1) ** 2
 
     def test_univariate_product_oracle(self):
         rng = np.random.default_rng(11)
         z, x = rng.uniform(0, 1, 2)
-        be = self.space.eval(z, x)
-        for (i, j), v in zip(be.indices, be.values):
-            prod = eval_basis(self.space.kv_zeta, i, z) * eval_basis(self.space.kv_xi, j, x)
+        idx, V = self.space.parametric_eval(0, z, x, nders=0)[:2]
+        for k, v in zip(idx, V):
+            i, j = divmod(k, self.blk.nj)
+            prod = eval_basis(self.blk.curve.kv, i, z) * eval_basis(self.blk.radial, j, x)
             assert v == pytest.approx(prod, abs=1e-14)
 
     def test_rational_weights_zeta_only(self):
         kvz = make_open_knot_vector(2, 1, 1)
-        kvx = make_open_knot_vector(2, 2, 1)
         w = np.array([1.0, 0.7, 1.3])
-        space = TensorSplineSpace(kvz, kvx, weights=np.outer(w, np.ones(kvx.n)))
-        be = space.eval(0.3, 0.6)
-        assert be.values.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(SplineError):
-            TensorSplineSpace(kvz, kvx, weights=np.outer(np.ones(3), [1.0, 2.0, 1.0, 1.0]))
+        curve = NurbsCurve(kvz, [[0.0, 1.0], [0.5, 1.2], [1.0, 1.0]], w)
+        patch = SBPatch(curve, (0.5, 0.0)).with_segments(1, 2, 1)
+        assert patch.radial == make_open_knot_vector(2, 2, 1)
+        space = UncoupledSpace.from_domain(make_domain([patch]))
+        V = space.parametric_eval(0, 0.3, 0.6, nders=0)[1]
+        assert V.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKnotVectorInvariants:

@@ -11,18 +11,18 @@ from sbiga.plate import (
     manufactured_rhs,
     solve_plate,
 )
-from sbiga.stabilize import CombinedSpaceSpec, build_combined_space, combined_uncoupled_space
+from sbiga.stabilize import build_combined_space, combined_uncoupled_space
 
 
 class TestCombinedSelection:
     def test_degenerate_equals_standard(self):
         std = build_coupled_space(square4(degree=3).with_segments(1, 1, 1))
-        deg = build_combined_space(square4(degree=3), CombinedSpaceSpec(1), 1)
+        deg = build_combined_space(square4(degree=3), 1, 1)
         assert (std.N, std.N4, std.N6) == (deg.N, deg.N4, deg.N6)
 
     def test_block_index_split(self):
         base = square4(degree=3)
-        fine, us = combined_uncoupled_space(base, CombinedSpaceSpec(4), 1)
+        fine, us = combined_uncoupled_space(base, 4, 1)
         p = 3
         for per_patch in us.blocks:
             coarse, fine_blk = per_patch
@@ -38,7 +38,7 @@ class TestCombinedSelection:
         # selected fine functions have first radial knot >= h: identically
         # zero on the ring of fine elements around the center
         base = square4(degree=3)
-        fine, us = combined_uncoupled_space(base, CombinedSpaceSpec(4), 1)
+        fine, us = combined_uncoupled_space(base, 4, 1)
         blk = us.blocks[0][1]
         h = blk.radial.breakpoints()[1]
         for j in range(blk.j_lo, blk.j_hi + 1):
@@ -52,7 +52,7 @@ class TestCombinedSelection:
 
     def test_coarse_functions_cover_center_ring(self):
         base = square4(degree=3)
-        fine, us = combined_uncoupled_space(base, CombinedSpaceSpec(4), 1)
+        fine, us = combined_uncoupled_space(base, 4, 1)
         blk = us.blocks[0][0]
         h = blk.radial.breakpoints()[1]
         jloc, D = blk.radial_window(h * 0.5, 0)
@@ -61,7 +61,7 @@ class TestCombinedSelection:
     def test_union_linearly_independent(self):
         # Gram matrix of the combined uncoupled basis has full numerical rank
         base = square4(degree=2)
-        fine, us = combined_uncoupled_space(base, CombinedSpaceSpec(2), 1)
+        fine, us = combined_uncoupled_space(base, 2, 1)
         rng = np.random.default_rng(1)
         lo, hi = us.patch_slice(0)
         n = hi - lo
@@ -75,7 +75,7 @@ class TestCombinedSelection:
         assert lam.min() > 1e-10 * lam.max()
 
     def test_reproduction_preserved(self):
-        cs = build_combined_space(square4(degree=3), CombinedSpaceSpec(3), 1)
+        cs = build_combined_space(square4(degree=3), 3, 1)
         for which in ("1", "x", "y"):
             z = reproduction_vector(cs, which)
             ctil = cs.expand(z)
@@ -94,7 +94,7 @@ class TestStabilizedSolve:
         # smooth clamped square, p=3, h=1/4 with the two-mesh space:
         # reported H2 ~ 1.4925, L2 ~ 5.669e-3
         cs = build_combined_space(
-            square4(degree=3, bc={"all": "clamped"}), CombinedSpaceSpec(4), 1
+            square4(degree=3, bc={"all": "clamped"}), 4, 1
         )
         exact = cos2_square()
         mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
@@ -106,6 +106,6 @@ class TestStabilizedSolve:
     def test_c1_property_holds(self):
         from sbiga.coupling import c1_jump_report
 
-        cs = build_combined_space(square4(degree=3), CombinedSpaceSpec(3), 1)
+        cs = build_combined_space(square4(degree=3), 3, 1)
         for _, rel in c1_jump_report(cs, nsamples=30):
             assert rel <= 1e-8
