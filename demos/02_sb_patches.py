@@ -13,11 +13,12 @@ print("singular patch (c2 = 0): inner edge collapses to the center")
 for z in (0.0, 0.5, 1.0):
     print("  F(%.1f, 0) =" % z, patch.map(z, 0.0))
 
-ge = patch.geom_eval(0.4, 0.6)
-print("\nJacobian at (0.4, 0.6):\n", ge.jac, "\n det =", ge.det)
+ge = {k: v[0] for k, v in patch.geom_eval(0.4, 0.6).items()}
+jac = np.array([[ge["J11"], ge["J12"]], [ge["J21"], ge["J22"]]])
+print("\nJacobian at (0.4, 0.6):\n", jac, "\n det =", ge["det"])
 g, g1 = patch.curve.eval_one(0.4, nders=1)
 d = g1[0] * (g[1] - patch.x0[1]) - g1[1] * (g[0] - patch.x0[0])
-print(" det == xi*c1^2*d(zeta):", np.isclose(ge.det, 0.6 * d))
+print(" det == xi*c1^2*d(zeta):", np.isclose(ge["det"], 0.6 * d))
 
 net = patch.control_net()
 print("\ncontrol net shape:", net.shape, "- first layer all at x0:",

@@ -21,7 +21,6 @@ from scipy.linalg import qr, solve_triangular
 
 from .errors import CouplingError, GeometryError
 from .space import UncoupledSpace
-from .splines import gauss_points
 
 __all__ = [
     "G1Coefficients",
@@ -224,6 +223,19 @@ def _layer(uspace, m, j_global):
     ]
 
 
+def _edge_dofs(uspace, edge):
+    """Flat indices of the functions of one patch edge's trace, one array
+    per block that holds some, each in the order of the edge parameter."""
+    m = edge.patch
+    blocks = uspace.blocks[m]
+    if edge.axis == 0:
+        return [uspace.flat(m, b, int(edge.fixed) * (blk.n1 - 1), np.arange(blk.nj))
+                for b, blk in enumerate(blocks)]
+    layer = int(edge.fixed) * (uspace.domain.patches[m].radial.n - 1)
+    return [uspace.flat(m, b, np.arange(blocks[b].n1), jl)
+            for b, jl in _blocks_with_layer(uspace, m, layer)]
+
+
 def build_m0(uspace):
     """Steps 1-4 of the coupling chain as a sparse basis transformation.
 
@@ -249,28 +261,11 @@ def build_m0(uspace):
     # step 2: C0 identification across interfaces
     left, right = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for itf in domain.interfaces:
-        if itf.kind == "radial":
-            mL, mR = itf.left, itf.right
-            bl, br = uspace.blocks[mL], uspace.blocks[mR]
-            if len(bl) != len(br):
-                raise GeometryError("block structure differs across interface", tag="topology-error")
-            for b, (bL, bR) in enumerate(zip(bl, br)):
-                if (bL.j_lo, bL.j_hi) != (bR.j_lo, bR.j_hi):
-                    raise GeometryError("radial ranges differ across interface", tag="topology-error")
-                jl = np.arange(bL.nj)
-                left.append(uspace.flat(mL, b, bL.n1 - 1, jl))
-                right.append(uspace.flat(mR, b, 0, jl))
-        else:
-            mA, mB = itf.left, itf.right
-            (bA, jlA), = _blocks_with_layer(uspace, mA, n2[domain.group_of(mA)] - 1)
-            (bB, jlB), = _blocks_with_layer(uspace, mB, n2[domain.group_of(mB)] - 1)
-            n1A = uspace.blocks[mA][bA].n1
-            n1B = uspace.blocks[mB][bB].n1
-            if n1A != n1B:
-                raise GeometryError("outer interface bases differ", tag="topology-error")
-            i = np.arange(n1A)
-            left.append(uspace.flat(mA, bA, i, jlA))
-            right.append(uspace.flat(mB, bB, n1B - 1 - i, jlB))
+        traces = [_edge_dofs(uspace, edge) for edge in itf.sides]
+        if [len(t) for t in traces[0]] != [len(t) for t in traces[1]]:
+            raise GeometryError("bases differ across interface %r" % itf, tag="topology-error")
+        left += traces[0]
+        right += [t[::-1] for t in traces[1]] if itf.flip else traces[1]
     left, right = np.concatenate(left), np.concatenate(right)
     graph = sp.csr_matrix((np.ones(len(left)), (left, right)), shape=(N, N))
     ncls, cls = sp.csgraph.connected_components(graph, directed=False)
@@ -336,18 +331,6 @@ def build_m0(uspace):
 # MJ: normal-derivative jump Gram matrix
 
 
-def _interface_quadrature(domain, itf, nq):
-    """(params t, weights including the 1D arc measure)."""
-    patch = domain.patches[itf.left]
-    kv = patch.radial if itf.kind == "radial" else patch.curve.kv
-    rules = [gauss_points(nq, a, b) for _, a, b in kv.spans()]
-    ts, ws = (np.concatenate(part) for part in zip(*rules))
-    if itf.kind == "radial":
-        return ts, ws * (patch.c1 * np.hypot(*(itf.corner - patch.x0)))
-    _, d1 = patch.outer_edge_curve().eval(ts, nders=1)
-    return ts, ws * np.hypot(d1[:, 0], d1[:, 1])
-
-
 def _point_rows(idx, vals, N):
     """Sparse (npts, N) operator with row r = sum_k vals[r, k] e_{idx[r, k]}
     over the entries with idx >= 0, kept in the given order."""
@@ -357,16 +340,10 @@ def _point_rows(idx, vals, N):
 
 
 def _interface_sides(itf, ts):
-    """Both sides of one interface at parameters ts as (patch, zeta, xi).
-
-    Radial interfaces join the left patch's zeta=1 edge to the right
-    patch's zeta=0 edge along xi = t; outer interfaces join two xi=1 edges
-    with reversed zeta.
-    """
-    one = np.ones_like(ts)
-    if itf.kind == "radial":
-        return (itf.left, one, ts), (itf.right, np.zeros_like(ts), ts)
-    return (itf.left, ts, one), (itf.right, 1.0 - ts, one)
+    """Both sides of one interface as (patch, zeta, xi) at the parameters
+    ts of its left edge."""
+    left, right = itf.sides
+    return (left.patch, *left.points(ts)), (right.patch, *right.points(1.0 - ts if itf.flip else ts))
 
 
 def _side_gradients(uspace, sides):
@@ -389,8 +366,7 @@ def _jump_operator(uspace, itf, sides, grads):
     n . grad(left) - n . grad(right) on the uncoupled functions, n the
     unit normal of the left edge, from both sides' gradients."""
     m, z, x = sides[0]
-    ndir = (1.0, 0.0) if itf.kind == "radial" else (0.0, 1.0)
-    normal = uspace.domain.patches[m].edge_normal(z, x, ndir)[:, :, None]
+    normal = uspace.domain.patches[m].edge_normal(z, x, itf.sides[0].ndir)[:, :, None]
     (idxL, GL), (idxR, GR) = grads
     vals = np.hstack([(GL @ normal)[..., 0], -(GR @ normal)[..., 0]])
     return _point_rows(np.hstack([idxL, idxR]), vals, uspace.N)
@@ -409,7 +385,7 @@ def assemble_jump_rows(uspace, m0res, nquad=None):
     """
     domain = uspace.domain
     nq = nquad or (domain.p + 2)
-    quad = [_interface_quadrature(domain, itf, nq) for itf in domain.interfaces]
+    quad = [itf.sides[0].rule(domain, nq) for itf in domain.interfaces]
     sides = [_interface_sides(itf, ts) for itf, (ts, _) in zip(domain.interfaces, quad)]
     grads = _side_gradients(uspace, [side for pair in sides for side in pair])
     jumps = [sp.csr_matrix((0, uspace.N))] + [

@@ -11,14 +11,19 @@ which makes det J > 0.
 import numpy as np
 
 from .errors import GeometryError
-from .splines import KnotVector, boehm_insert, make_open_knot_vector, insert_knot, ders_basis
+from .splines import (
+    KnotVector, boehm_insert, make_open_knot_vector, insert_knot, ders_basis, nurbs_ders_basis,
+    gauss_points,
+)
 
 __all__ = [
     "NurbsCurve",
     "line_curve",
     "circle_arc",
+    "sb_geometry",
+    "jacobian_inverse",
     "SBPatch",
-    "GeomEval",
+    "PatchEdge",
     "Interface",
     "BoundaryEdge",
     "MultiPatchDomain",
@@ -183,18 +188,31 @@ def circle_arc(center, radius, angle0, angle1, degree=2):
     return NurbsCurve(kv, hom[:, :2] / hom[:, 2:3], hom[:, 2])
 
 
-class GeomEval:
-    """Geometry data at parametric points: F, J, det J, and the
-    second-derivative tensor d2[..., k, :, :] = parametric Hessian of F_k.
-    Arrays carry a leading point axis when evaluated at several points."""
+def sb_geometry(g, g1, g2, q, c1, x0):
+    """Geometry of the SB map F = q(xi)(gamma(zeta) - x0) + x0 from the
+    curve data g, g1, g2 (gamma and its first two derivatives, last axis
+    x/y), q = q(xi) and c1, which broadcast against each other.
 
-    __slots__ = ("point", "jac", "det", "d2")
+    Returns the dict of arrays J11, J12, J21, J22 (J = dF/d(zeta, xi)), det,
+    the point px, py and the second derivatives F1zz, F2zz, F1zx, F2zx of
+    (F1, F2); those in xi-xi vanish since q is linear.
+    """
+    gx, gy = g[..., 0] - x0[0], g[..., 1] - x0[1]
+    J11, J21 = g1[..., 0] * q, g1[..., 1] * q
+    J12, J22 = gx * c1, gy * c1
+    return {
+        "J11": J11, "J12": J12, "J21": J21, "J22": J22,
+        "det": J11 * J22 - J12 * J21,
+        "px": gx * q + x0[0], "py": gy * q + x0[1],
+        "F1zz": g2[..., 0] * q, "F2zz": g2[..., 1] * q,
+        "F1zx": g1[..., 0] * c1, "F2zx": g1[..., 1] * c1,
+    }
 
-    def __init__(self, point, jac, det, d2):
-        self.point = point
-        self.jac = jac
-        self.det = det
-        self.d2 = d2
+
+def jacobian_inverse(geo):
+    """Entries (I11, I12, I21, I22) of J^{-1} in closed form."""
+    det = geo["det"]
+    return geo["J22"] / det, -geo["J12"] / det, -geo["J21"] / det, geo["J11"] / det
 
 
 class SBPatch:
@@ -231,35 +249,22 @@ class SBPatch:
         return pts[0] if np.isscalar(zeta) and np.isscalar(xi) else pts
 
     def geom_eval(self, zeta, xi):
-        """Map, Jacobian and second derivatives at (zeta, xi); scalars or
-        arrays that broadcast against each other."""
-        scalar = np.ndim(zeta) == 0 and np.ndim(xi) == 0
+        """The :func:`sb_geometry` dict at points (zeta, xi), scalars or 1-D
+        arrays that broadcast against each other; arrays of shape (n,)."""
         zeta, xi = np.broadcast_arrays(np.atleast_1d(zeta), np.atleast_1d(xi))
-        g, g1, g2 = self.curve.eval(zeta, nders=2)
-        qv = self.q(xi)[:, None]
+        qv = self.q(xi)
         if np.any(qv == 0.0):
             raise GeometryError(
                 "Jacobian is singular at the scaling center", tag="singular-jacobian"
             )
-        J = np.empty((len(g), 2, 2))
-        J[:, :, 0] = qv * g1
-        J[:, :, 1] = self.c1 * (g - self.x0)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        d2 = np.zeros((len(g), 2, 2, 2))
-        d2[:, :, 0, 0] = qv * g2
-        d2[:, :, 0, 1] = d2[:, :, 1, 0] = self.c1 * g1
-        ge = GeomEval(qv * (g - self.x0) + self.x0, J, det, d2)
-        if scalar:
-            return GeomEval(ge.point[0], J[0], det[0], d2[0])
-        return ge
+        return sb_geometry(*self.curve.eval(zeta, nders=2), qv, self.c1, self.x0)
 
     def edge_normal(self, zeta, xi, ndir):
         """Unit normals J^{-T} ndir / |J^{-T} ndir| at points (zeta, xi):
         ndir = (1, 0) gives the normal of the line zeta = const, (0, 1) that
         of xi = const, both pointing to increasing parameter."""
-        jac = self.geom_eval(zeta, xi).jac
-        rhs = np.broadcast_to(np.asarray(ndir, dtype=float), jac.shape[:-1])
-        n = np.linalg.solve(np.swapaxes(jac, -1, -2), rhs[..., None])[..., 0]
+        a, b, c, d = jacobian_inverse(self.geom_eval(zeta, xi))
+        n = np.stack([a * ndir[0] + c * ndir[1], b * ndir[0] + d * ndir[1]], axis=-1)
         return n / np.hypot(n[..., 0], n[..., 1])[..., None]
 
     def control_net(self, curve=None, radial=None):
@@ -277,14 +282,12 @@ class SBPatch:
         zs = rng.uniform(0.0, 1.0, 20)
         xs = rng.uniform(0.0, 1.0, 20)
         direct = self.map(zs, xs)
-        f1, Dz = ders_basis(curve.kv, zs, 0)
+        f1, Dz = nurbs_ders_basis(curve.kv, curve.weights, zs, 0)
         f2, Dx = ders_basis(radial, xs, 0)
         ii = np.add.outer(f1, np.arange(curve.p + 1))
         jj = np.add.outer(f2, np.arange(radial.p + 1))
-        Bz = Dz[:, 0] * curve.weights[ii]
-        Bz = Bz / Bz.sum(axis=1, keepdims=True)
         sub = net[ii[:, :, None], jj[:, None, :]]
-        recon = np.einsum("ni,nj,nijk->nk", Bz, Dx[:, 0], sub)
+        recon = np.einsum("ni,nj,nijk->nk", Dz[:, 0], Dx[:, 0], sub)
         err = np.max(np.abs(recon - direct))
         if err > 1e-10:
             raise GeometryError(
@@ -305,35 +308,71 @@ class SBPatch:
         return NurbsCurve(self.curve.kv, pts, self.curve.weights.copy())
 
 
-class Interface:
-    """Patch-to-patch interface.
+class PatchEdge:
+    """One edge of a patch: 'zeta0' or 'zeta1', which run in xi, or 'outer'
+    (xi = 1), which runs in zeta; t is the running parameter.  ``axis`` is
+    the parameter held fixed (0 zeta, 1 xi), ``fixed`` its value and
+    ``ndir`` the parametric normal direction, towards increasing ``axis``."""
 
-    kind 'radial': left patch's zeta=1 edge meets right patch's zeta=0 edge
-    (same center group); parametrized by xi on both sides.
-    kind 'outer': two xi=1 edges of patches from different center groups,
-    reversed parametrization, required straight.
+    __slots__ = ("patch", "edge", "axis", "fixed", "ndir")
+
+    _AXES = {"zeta0": (0, 0.0), "zeta1": (0, 1.0), "outer": (1, 1.0)}
+
+    def __init__(self, patch, edge):
+        self.patch = patch
+        self.edge = edge
+        self.axis, self.fixed = self._AXES[edge]
+        self.ndir = (1.0 - self.axis, float(self.axis))
+
+    def points(self, t):
+        """(zeta, xi) of the edge at parameters t."""
+        fixed = np.full_like(t, self.fixed)
+        return (fixed, t) if self.axis == 0 else (t, fixed)
+
+    def rule(self, domain, nq):
+        """nq-point Gauss rule on every knot span of the edge: parameters t
+        and the weights times the arc measure |dF/dt|."""
+        patch = domain.patches[self.patch]
+        kv = patch.radial if self.axis == 0 else patch.curve.kv
+        rules = [gauss_points(nq, a, b) for _, a, b in kv.spans()]
+        ts, ws = (np.concatenate(part) for part in zip(*rules))
+        geo = patch.geom_eval(*self.points(ts))
+        col = "2" if self.axis == 0 else "1"
+        return ts, ws * np.hypot(geo["J1" + col], geo["J2" + col])
+
+
+class Interface:
+    """Two coinciding patch edges, ``sides = (left edge, right edge)``;
+    ``flip`` when the right edge runs against the left one.
+
+    kind 'radial': the left patch's zeta1 edge meets the right patch's
+    zeta0 edge (same center group), both running in xi.
+    kind 'outer': the outer edges of two patches from different center
+    groups, reversed, required straight.
     """
 
-    __slots__ = ("kind", "left", "right", "corner")
+    __slots__ = ("kind", "left", "right", "sides", "flip")
 
-    def __init__(self, kind, left, right, corner=None):
+    _EDGES = {"radial": ("zeta1", "zeta0", False), "outer": ("outer", "outer", True)}
+
+    def __init__(self, kind, left, right):
+        edge_l, edge_r, self.flip = self._EDGES[kind]
         self.kind = kind
         self.left = left
         self.right = right
-        self.corner = corner
+        self.sides = (PatchEdge(left, edge_l), PatchEdge(right, edge_r))
 
     def __repr__(self):
         return f"Interface({self.kind}, L={self.left}, R={self.right})"
 
 
-class BoundaryEdge:
+class BoundaryEdge(PatchEdge):
     """Physical boundary edge of one patch with a BC tag."""
 
-    __slots__ = ("patch", "edge", "tag")
+    __slots__ = ("tag",)
 
     def __init__(self, patch, edge, tag="free"):
-        self.patch = patch
-        self.edge = edge  # 'outer', 'zeta0' or 'zeta1'
+        super().__init__(patch, edge)
         self.tag = tag
 
     def __repr__(self):
@@ -441,7 +480,7 @@ def make_domain(patches, bc=None):
     # orientation: detJ > 0 sampled
     zs = np.array([0.12, 0.5, 0.93])
     for k, pa in enumerate(patches):
-        det = pa.geom_eval(zs, 0.77).det
+        det = pa.geom_eval(zs, 0.77)["det"]
         if np.any(det <= 0.0):
             i = int(np.argmax(det <= 0.0))
             raise GeometryError(
@@ -467,7 +506,7 @@ def make_domain(patches, bc=None):
                             "ambiguous radial interface at patch %d-%d" % (a, b),
                             tag="topology-error",
                         )
-                    interfaces.append(Interface("radial", a, b, corner=ca.points[-1].copy()))
+                    interfaces.append(Interface("radial", a, b))
                     has_succ.add(a)
                     has_pred.add(b)
     for g in groups:
@@ -565,7 +604,7 @@ def validate_star_shape(patch, samples=400, rng=None):
     rng = rng or np.random.default_rng(7)
     zs = rng.uniform(0.0, 1.0, samples)
     xs = rng.uniform(1e-3, 1.0, samples)
-    det = patch.geom_eval(zs, xs).det
+    det = patch.geom_eval(zs, xs)["det"]
     denom = xs if patch.c2 == 0.0 else patch.q(xs)
     return float(np.min(det / denom))
 

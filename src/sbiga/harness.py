@@ -24,6 +24,8 @@ raise a ConfigError, with a message that names the key's path (e.g.
 """
 
 import ast
+import functools
+import inspect
 import json
 import operator
 import time
@@ -58,8 +60,9 @@ _BUILTIN_EXACT = {"cos2_square": cos2_square}
 
 
 def _trimmed(builder):
-    """Builder of the trimmed domain of a (square, TrimSpec) model."""
-    return lambda **params: assemble_trimmed_domain(*builder(**params))
+    """Builder of the trimmed domain of a (square, TrimSpec) model, with the
+    model's signature."""
+    return functools.wraps(builder)(lambda **params: assemble_trimmed_domain(*builder(**params)))
 
 
 _GEOMETRY_BUILDERS = {
@@ -99,7 +102,8 @@ def write_csv(rows, path):
 
 
 # Allowed keys of every section with a fixed key set; maps keyed by user
-# names (bcs.groups, bcs.per_patch, geometry.params) are not checked.
+# names (bcs.groups, bcs.per_patch) are not checked here, and the keys of
+# geometry.params are checked against the builder's signature.
 _SECTION_KEYS = {
     "": {"description", "geometry", "discretization", "material", "bcs", "loads",
          "exact", "reference", "study", "outputs"},
@@ -148,6 +152,13 @@ def _number(val, path, kind=int):
         return kind(val)
     except (TypeError, ValueError):
         raise ConfigError("%s must be a number, got %r" % (path, val), tag="config-error") from None
+
+
+def _point(val, path):
+    """[x, y] as floats, or a ConfigError naming ``path``."""
+    if not isinstance(val, (list, tuple)) or len(val) != 2:
+        raise ConfigError("%s must be a list [x, y], got %r" % (path, val), tag="config-error")
+    return [_number(v, "%s[%d]" % (path, k), float) for k, v in enumerate(val)]
 
 
 _EXPR_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: np.pi}
@@ -228,6 +239,16 @@ class CaseConfig:
             raise ConfigError("geometry.builtin is required", tag="config-error")
         if geo["builtin"] not in _GEOMETRY_BUILDERS:
             raise ConfigError("unknown geometry %r" % geo["builtin"], tag="config-error")
+        self.geometry_params = geo.get("params") or {}
+        if not isinstance(self.geometry_params, dict):
+            raise ConfigError("geometry.params must be an object", tag="config-error")
+        known = set(inspect.signature(_GEOMETRY_BUILDERS[geo["builtin"]]).parameters) - {"degree"}
+        unknown = sorted(set(self.geometry_params) - known)
+        if unknown:
+            raise ConfigError(
+                "unknown config key 'geometry.params.%s'; %s takes %s"
+                % (unknown[0], geo["builtin"], ", ".join(sorted(known))), tag="config-error",
+            )
         dis = self._get("discretization", dict)
         self.p = _number(dis.get("p", 3), "discretization.p")
         self.r = _number(dis.get("r", 1), "discretization.r")
@@ -256,17 +277,31 @@ class CaseConfig:
             if tag not in ("clamped", "simply_supported", "free"):
                 raise ConfigError("unknown bc tag %r" % tag, tag="config-error")
         self.loads = doc.get("loads", {}) or {}
+        self.point_loads = []
         for k, pl in enumerate(self.loads.get("point") or []):
             if "at" not in pl:
                 raise ConfigError("loads.point[%d].at is required" % k, tag="config-error")
+            path = "loads.point[%d]." % k
+            self.point_loads.append(
+                (_point(pl["at"], path + "at"), _number(pl.get("F", 1.0), path + "F", float))
+            )
+        for k, e in enumerate(self.loads.get("edges") or []):
+            for key in ("Q", "M"):
+                if key in e:
+                    _number(e[key], "loads.edges[%d].%s" % (k, key), float)
         surface = self.loads.get("surface")
         self.surface_expr = None
         if isinstance(surface, dict) and "expr" in surface:
             self.surface_expr = load_expression(surface["expr"])
+        if isinstance(surface, dict) and "const" in surface:
+            _number(surface["const"], "loads.surface.const", float)
         self.exact_name = (doc.get("exact") or {}).get("builtin")
         if self.exact_name is not None and self.exact_name not in _BUILTIN_EXACT:
             raise ConfigError("unknown exact solution %r" % self.exact_name, tag="config-error")
         self.reference = doc.get("reference")
+        for key, kind in (("value", float), ("F", float), ("L", float), ("terms", int)):
+            if key in (self.reference or {}):
+                _number(self.reference[key], "reference." + key, kind)
         study = doc.get("study", {}) or {}
         segments = study.get("segments", [1])
         if not isinstance(segments, list):
@@ -275,13 +310,13 @@ class CaseConfig:
         if any(s < 1 for s in self.segments):
             raise ConfigError("study.segments must be >= 1", tag="config-error")
         self.outputs = doc.get("outputs", {}) or {}
+        ep = self.outputs.get("eval_point")
+        self.eval_point = None if ep is None else _point(ep, "outputs.eval_point")
 
     @staticmethod
     def _bc_tags(bcs):
         for key, val in bcs.items():
-            if key == "groups":
-                yield from val.values()
-            elif key == "per_patch":
+            if key in ("groups", "per_patch"):
                 yield from val.values()
             else:
                 yield val
@@ -308,8 +343,7 @@ class CaseConfig:
         BC group names and edge-load patch indices are checked against it."""
         geo = self.doc["geometry"]
         name = geo["builtin"]
-        params = dict(geo.get("params", {}))
-        built = _GEOMETRY_BUILDERS[name](degree=self.p, **params)
+        built = _GEOMETRY_BUILDERS[name](degree=self.p, **self.geometry_params)
         domain, info = built if isinstance(built, tuple) else (built, {})
         bc = {}
         if "all" in self.bcs:
@@ -361,9 +395,6 @@ class CaseConfig:
             surface = self.surface_expr
         elif src is not None:
             raise ConfigError("unrecognized loads.surface", tag="config-error")
-        point_loads = [
-            (pl["at"], pl.get("F", 1.0)) for pl in self.loads.get("point", [])
-        ]
         edge_loads, edge_moments = [], []
         for e in self.loads.get("edges", []):
             targets = [int(e["patch"])] if "patch" in e else list(info.get(e.get("group"), []))
@@ -374,7 +405,7 @@ class CaseConfig:
                     edge_loads.append((t, float(e["Q"])))
                 if "M" in e:
                     edge_moments.append((t, float(e["M"])))
-        return LoadSpec(surface, edge_loads, edge_moments, point_loads)
+        return LoadSpec(surface, edge_loads, edge_moments, self.point_loads)
 
     def reference_value(self):
         ref = self.reference
@@ -409,8 +440,7 @@ def run_case(cfg, csv_path=None, progress=None):
         if exact is not None:
             rep = error_norms(solution, exact, quad=quad)
             h2, l2 = rep.h2_semi, rep.l2
-        ep = cfg.outputs.get("eval_point")
-        xy = np.asarray(ep, dtype=float) if ep is not None else cs.domain.groups[0].x0
+        xy = np.asarray(cfg.eval_point if cfg.eval_point is not None else cs.domain.groups[0].x0)
         m, z, x = locate_point(cs.domain, xy)
         center = float(evaluate(solution, [(m, z, x)], nders=0)[0])
         row = ResultRow(

@@ -12,8 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, SolverError, GeometryError
-from .geometry import locate_point
-from .splines import gauss_points
+from .geometry import PatchEdge, locate_point
 
 __all__ = [
     "PlateMaterial",
@@ -228,21 +227,18 @@ def _edge_functional(uspace, patch_idx, val, ftil, order):
     over the outer edge of one patch; a callable val(x, y) takes arrays."""
     domain = uspace.domain
     patch = domain.patches[patch_idx]
-    edge = patch.outer_edge_curve()
-    nq = domain.p + 1
-    for _, a, b in edge.kv.spans():
-        ts, ws = gauss_points(nq, a, b)
-        _, d1 = edge.eval(ts, nders=1)
-        qv = val(*patch.map(ts, 1.0).T) if callable(val) else val
-        coef = ws * np.hypot(d1[:, 0], d1[:, 1]) * qv
-        if order == 0:
-            idx, V = uspace.parametric_eval(patch_idx, ts, 1.0, nders=0)[:2]
-        else:
-            n = patch.edge_normal(ts, 1.0, (0.0, 1.0))
-            idx, _, G, _ = uspace.physical_eval(patch_idx, ts, 1.0, nders=1)
-            V = (G @ n[:, :, None])[..., 0]
-        keep = idx >= 0
-        np.add.at(ftil, idx[keep], (coef[:, None] * V)[keep])
+    edge = PatchEdge(patch_idx, "outer")
+    ts, ws = edge.rule(domain, domain.p + 1)
+    z, x = edge.points(ts)
+    coef = ws * (val(*patch.map(z, x).T) if callable(val) else val)
+    if order == 0:
+        idx, V = uspace.parametric_eval(patch_idx, z, x, nders=0)[:2]
+    else:
+        n = patch.edge_normal(z, x, edge.ndir)
+        idx, _, G, _ = uspace.physical_eval(patch_idx, z, x, nders=1)
+        V = (G @ n[:, :, None])[..., 0]
+    keep = idx >= 0
+    np.add.at(ftil, idx[keep], (coef[:, None] * V)[keep])
 
 
 # ----------------------------------------------------------------------

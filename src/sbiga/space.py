@@ -18,19 +18,17 @@ A row keeps the basis as its tensor factors: the zeta factor per span and
 the radial factor of the row.  The element stiffness, whose basis index
 stays, expands them to (S1, K, Q) Hessian tables and integrates with
 batched matmuls; the load and the error norms contract the factors with
-one weight or coefficient vector and never form such a table.  One
-second-order pullback, :func:`_pullback`, maps parametric second
-derivatives to physical Hessians, of single functions and of fields alike,
-since it is linear in them.  Gradients at
-points use the LAPACK inverse of J and the quadrature rows its closed form;
-the two agree to roundoff, and the point form stays because the jump rows C
-are built from it: the bits of C, and through the C1 basis the CSV, follow
-its rounding.
+one weight or coefficient vector and never form such a table.  Points and
+rows share the geometry kernel :func:`~sbiga.geometry.sb_geometry` and one
+pullback, :func:`_pullback`, which maps parametric derivatives to physical
+gradients and Hessians through the closed-form J^{-1}, of single functions
+and of fields alike, since it is linear in them.
 """
 
 import numpy as np
 
 from .errors import GeometryError
+from .geometry import jacobian_inverse, sb_geometry
 from .splines import ders_basis, nurbs_ders_basis, gauss_points
 
 __all__ = ["PatchBlock", "UncoupledSpace"]
@@ -169,29 +167,19 @@ class UncoupledSpace:
         per active function, over one point or arrays of points as in
         :meth:`parametric_eval`.
         """
-        idx, V, D10, D01, D20, D11, D02 = self.parametric_eval(m, z, x, nders)
+        idx, *D = self.parametric_eval(m, z, x, nders)
         if nders == 0:
-            return idx, V, None, None
-        ge = self.domain.patches[m].geom_eval(z, x)
-        if np.any(np.abs(ge.det) < 1e-14):
+            return idx, D[0], None, None
+        geo = self.domain.patches[m].geom_eval(z, x)
+        if np.any(np.abs(geo["det"]) < 1e-14):
             raise GeometryError("Jacobian numerically singular", tag="singular-jacobian")
-        Jinv = np.linalg.inv(ge.jac)
-        G = np.stack([D10, D01], axis=-1) @ Jinv
-        if nders == 1:
-            return idx, V, G, None
-        inv = Jinv[..., None, :, :]
-        d2 = ge.d2[..., None, :, :, :]
-        F = {
-            "F1zz": d2[..., 0, 0, 0], "F2zz": d2[..., 1, 0, 0],
-            "F1zx": d2[..., 0, 0, 1], "F2zx": d2[..., 1, 0, 1],
-        }
-        H11, H22, H12 = _pullback(
-            {"D20": D20, "D11": D11, "D02": D02},
-            (inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1]),
-            G[..., 0], G[..., 1], F,
-        )
-        H = np.stack([np.stack([H11, H12], axis=-1), np.stack([H12, H22], axis=-1)], axis=-2)
-        return idx, V, G, H
+        # one geometry value per point, broadcast over its active functions
+        geo = {k: v.reshape(D[0].shape[:-1] + (1,)) for k, v in geo.items()}
+        GX, GY, H = _pullback(dict(zip(_DERIVS, D)), geo)
+        if H is not None:
+            H11, H22, H12 = H
+            H = np.stack([np.stack([H11, H12], axis=-1), np.stack([H12, H22], axis=-1)], axis=-2)
+        return idx, D[0], np.stack([GX, GY], axis=-1), H
 
     # ------------------------------------------------------------------
     # batched quadrature tables
@@ -233,12 +221,8 @@ class UncoupledSpace:
             Xnodes[s], Xw[s] = gauss_points(nq2, a, b)
 
         zflat = Znodes.ravel()
-        g, g1, g2 = patch.curve.eval(zflat, nders=2)
-        geom = {
-            "g": g.reshape(S1, nq1, 2),
-            "g1": g1.reshape(S1, nq1, 2),
-            "g2": g2.reshape(S1, nq1, 2),
-        }
+        # the curve data (g, g1, g2) of every zeta node, against a radial axis
+        geom = [d.reshape(S1, nq1, 1, 2) for d in patch.curve.eval(zflat, nders=2)]
 
         # Gauss nodes lie inside spans: one active window per span
         zt = []
@@ -324,36 +308,14 @@ class _PatchTables:
         return np.concatenate(idx, axis=1), {k: np.concatenate(v, axis=1) for k, v in parts.items()}
 
     def row_geometry(self, s2):
-        """Jacobian data on row s2: returns dict of (S1, Q) arrays."""
+        """The :func:`~sbiga.geometry.sb_geometry` dict and the weights w of
+        row s2, arrays (S1, Q)."""
         patch = self.patch
-        qv = patch.c1 * self.Xnodes[s2] + patch.c2      # (nq2,)
-        g = self.geom["g"]
-        g1 = self.geom["g1"]
-        g2 = self.geom["g2"]
-        x0 = patch.x0
-
-        def mix(zq, xq):
-            return (zq[:, :, None] * xq[None, None, :]).reshape(self.S1, -1)
-
-        ones = np.ones_like(qv)
-        J11 = mix(g1[:, :, 0], qv)
-        J21 = mix(g1[:, :, 1], qv)
-        J12 = mix(g[:, :, 0] - x0[0], patch.c1 * ones)
-        J22 = mix(g[:, :, 1] - x0[1], patch.c1 * ones)
-        det = J11 * J22 - J12 * J21
-        px = mix(g[:, :, 0] - x0[0], qv) + x0[0]
-        py = mix(g[:, :, 1] - x0[1], qv) + x0[1]
-        w2d = (self.Zw[:, :, None] * self.Xw[s2][None, None, :]).reshape(self.S1, -1)
-        # parametric second derivatives of F
-        F1zz = mix(g2[:, :, 0], qv)
-        F2zz = mix(g2[:, :, 1], qv)
-        F1zx = mix(g1[:, :, 0], patch.c1 * ones)
-        F2zx = mix(g1[:, :, 1], patch.c1 * ones)
-        return {
-            "J11": J11, "J12": J12, "J21": J21, "J22": J22, "det": det,
-            "px": px, "py": py, "w": w2d,
-            "F1zz": F1zz, "F2zz": F2zz, "F1zx": F1zx, "F2zx": F2zx,
-        }
+        # c1 as a radial array makes every entry a full (S1, nq1, nq2) array
+        c1 = np.full(self.nq2, patch.c1)
+        geo = sb_geometry(*self.geom, patch.q(self.Xnodes[s2]), c1, patch.x0)
+        geo["w"] = self.Zw[:, :, None] * self.Xw[s2][None, None, :]
+        return {k: v.reshape(self.S1, -1) for k, v in geo.items()}
 
     def row_physical(self, s2):
         """Physical Hessian components of the basis on row s2.
@@ -362,7 +324,7 @@ class _PatchTables:
         """
         IDX, A = self.row_basis(s2, ("D10", "D01", "D20", "D11", "D02"))
         geo = self.row_geometry(s2)
-        H11, H22, H12 = _row_hessian(A, {k: v[:, None, :] for k, v in geo.items()})
+        _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in geo.items()})
         return IDX, H11, H22, H12, geo
 
     def row_field(self, s2, c):
@@ -383,36 +345,30 @@ class _PatchTables:
             for k, (dz, dx) in _DERIVS.items():
                 A[k] = A[k] + (Zv[:, dz].transpose(0, 2, 1) @ cX[dx]).reshape(S1, -1)
         geo = self.row_geometry(s2)
-        H11, H22, H12 = _row_hessian(A, geo)
+        _, _, (H11, H22, H12) = _pullback(A, geo)
         return A["V"], H11, H22, H12, geo
 
 
-def _row_hessian(A, geo):
-    """Physical Hessian on quadrature rows from the closed-form J^{-1} of
-    :meth:`_PatchTables.row_geometry`; geo broadcasts against A."""
-    det = geo["det"]
-    inv = (geo["J22"] / det, -geo["J12"] / det, -geo["J21"] / det, geo["J11"] / det)
-    # grad = J^{-T} [D10, D01]
-    GX = inv[0] * A["D10"] + inv[2] * A["D01"]
-    GY = inv[1] * A["D10"] + inv[3] * A["D01"]
-    return _pullback(A, inv, GX, GY, geo)
+def _pullback(A, geo):
+    """Physical gradient and Hessian H = J^{-T} (Hhat - sum_k dphi/dx_k
+    Hess F_k) J^{-1} from the parametric derivatives A (D10, D01 and, for
+    the Hessian, D20, D11, D02) and the SB-map geometry geo, which
+    broadcast against each other.
 
-
-def _pullback(A, inv, GX, GY, F):
-    """Physical Hessian H = J^{-T} (Hhat - sum_k dphi/dx_k Hess F_k) J^{-1}.
-
-    Written out for the SB map, whose xi-xi derivatives vanish.  A holds
-    the parametric second derivatives D20, D11, D02, inv the entries
-    (I11, I12, I21, I22) of J^{-1}, GX and GY the physical gradient, F the
-    map's second derivatives F1zz, F2zz, F1zx, F2zx.  All arrays broadcast
-    against each other.  Returns (H11, H22, H12).
+    Written out for the SB map, whose xi-xi derivatives vanish.  Returns
+    (GX, GY, (H11, H22, H12)), with None for the Hessian when A holds no
+    second derivatives.
     """
-    K11 = A["D20"] - GX * F["F1zz"] - GY * F["F2zz"]
-    K12 = A["D11"] - GX * F["F1zx"] - GY * F["F2zx"]
+    # J^{-1} = [[a, b], [c, d]]; grad = J^{-T} [D10, D01]
+    a, b, c, d = jacobian_inverse(geo)
+    GX = a * A["D10"] + c * A["D01"]
+    GY = b * A["D10"] + d * A["D01"]
+    if A.get("D20") is None:
+        return GX, GY, None
+    K11 = A["D20"] - GX * geo["F1zz"] - GY * geo["F2zz"]
+    K12 = A["D11"] - GX * geo["F1zx"] - GY * geo["F2zx"]
     K22 = A["D02"]
-    # H = J^{-1 T} K J^{-1} with J^{-1} = [[a, b], [c, d]]
-    a, b, c, d = inv
     H11 = a * a * K11 + 2.0 * a * c * K12 + c * c * K22
     H22 = b * b * K11 + 2.0 * b * d * K12 + d * d * K22
     H12 = a * b * K11 + (a * d + b * c) * K12 + c * d * K22
-    return H11, H22, H12
+    return GX, GY, (H11, H22, H12)

@@ -83,7 +83,7 @@ class TestGeomEval:
             g, g1 = pa.curve.eval_one(z, nders=1)
             d = g1[0] * (g[1] - pa.x0[1]) - g1[1] * (g[0] - pa.x0[0])
             ge = pa.geom_eval(z, x)
-            assert ge.det == pytest.approx(x * pa.c1**2 * d, rel=1e-12)
+            assert ge["det"][0] == pytest.approx(x * pa.c1**2 * d, rel=1e-12)
 
     def test_jacobian_finite_differences(self):
         pa = make_curved_patch()
@@ -93,8 +93,8 @@ class TestGeomEval:
             ge = pa.geom_eval(z, x)
             fd0 = (pa.map(z + eps, x) - pa.map(z - eps, x)) / (2 * eps)
             fd1 = (pa.map(z, x + eps) - pa.map(z, x - eps)) / (2 * eps)
-            assert np.allclose(ge.jac[:, 0], fd0, rtol=1e-6, atol=1e-8)
-            assert np.allclose(ge.jac[:, 1], fd1, rtol=1e-6, atol=1e-8)
+            assert np.allclose([ge["J11"][0], ge["J21"][0]], fd0, rtol=1e-6, atol=1e-8)
+            assert np.allclose([ge["J12"][0], ge["J22"][0]], fd1, rtol=1e-6, atol=1e-8)
 
     def test_singular_point_rejected(self):
         pa = make_curved_patch()
@@ -105,8 +105,8 @@ class TestGeomEval:
         # c2 = 0: the zeta column of J scales linearly in xi
         pa = make_curved_patch()
         for z in (0.2, 0.7):
-            j1 = pa.geom_eval(z, 0.25).jac[:, 0]
-            j2 = pa.geom_eval(z, 0.5).jac[:, 0]
+            j1 = np.array([pa.geom_eval(z, 0.25)[k][0] for k in ("J11", "J21")])
+            j2 = np.array([pa.geom_eval(z, 0.5)[k][0] for k in ("J11", "J21")])
             assert np.allclose(2 * j1, j2, rtol=1e-10)
 
 
@@ -163,6 +163,64 @@ class TestPhysicalDerivs:
         assert vals.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(grads.sum(axis=0), 0, atol=1e-9)
         assert np.max(np.abs(hess.sum(axis=0))) <= 1e-7
+
+
+def _dense(idx, vals, N):
+    """Rows of per-point (index, value) pairs as a dense (npts, N) array."""
+    out = np.zeros((len(idx), N))
+    rows = np.broadcast_to(np.arange(len(idx))[:, None], idx.shape)
+    keep = idx >= 0
+    out[rows[keep], idx[keep]] = vals[keep]
+    return out
+
+
+class TestOneGeometryKernel:
+    """Points and quadrature rows share sb_geometry and the pullback."""
+
+    @pytest.fixture(params=["disk4", "stabilized"])
+    def uspace(self, request):
+        from sbiga.space import UncoupledSpace
+        from sbiga.stabilize import build_combined_space
+
+        if request.param == "disk4":
+            return UncoupledSpace.from_domain(disk4(degree=3).with_segments(2, 2, 1))
+        us = build_combined_space(square4(degree=3), 4, 1).uspace
+        assert len(us.blocks[0]) == 2
+        return us
+
+    def test_physical_eval_matches_rows(self, uspace):
+        tab = uspace.quad_tables(0, 4, 4)
+        S1, nq1, nq2 = tab.S1, tab.nq1, tab.nq2
+        c = np.random.default_rng(6).standard_normal(uspace.N)
+        for s2 in range(tab.S2):
+            IDX, H11, H22, H12, _ = tab.row_physical(s2)
+            field = tab.row_field(s2, c)[:4]
+            # row point q = q1 * nq2 + q2 of zeta span s1
+            z = np.repeat(tab.Znodes, nq2, axis=1).ravel()
+            x = np.tile(tab.Xnodes[s2], S1 * nq1)
+            idx, V, _, H = uspace.physical_eval(0, z, x)
+            row_idx = np.repeat(IDX, nq1 * nq2, axis=0)
+            point = (H[..., 0, 0], H[..., 1, 1], H[..., 0, 1])
+            for Hp, Hr in zip(point, (H11, H22, H12)):
+                ref = _dense(row_idx, Hr.transpose(0, 2, 1).reshape(len(z), -1), uspace.N)
+                got = _dense(idx, Hp, uspace.N)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            cw = np.where(idx >= 0, c[idx], 0.0)
+            for vals, ref in zip((V,) + point, field):
+                got = np.einsum("nk,nk->n", cw, vals)
+                assert np.max(np.abs(got - ref.ravel())) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_edge_normal_matches_solve(self, uspace):
+        patch = uspace.domain.patches[0]
+        z, x = np.random.default_rng(7).uniform(0.01, 1.0, (2, 50))
+        ge = patch.geom_eval(z, x)
+        jac = np.stack([np.stack([ge["J11"], ge["J12"]], axis=-1),
+                        np.stack([ge["J21"], ge["J22"]], axis=-1)], axis=-2)
+        for ndir in ((1.0, 0.0), (0.0, 1.0)):
+            rhs = np.broadcast_to(np.array(ndir), (len(z), 2))[..., None]
+            ref = np.linalg.solve(np.swapaxes(jac, -1, -2), rhs)[..., 0]
+            ref /= np.hypot(ref[:, 0], ref[:, 1])[:, None]
+            assert np.max(np.abs(patch.edge_normal(z, x, ndir) - ref)) <= 1e-13
 
 
 class TestRefine:

@@ -219,6 +219,14 @@ class TestCli:
         ({"study": 5}, "study"),
         ({"loads": {"point": [{"F": 1.0}]}}, r"loads.point\[0\].at"),
         ({"material": {"E": 1e4, "nu": 0.7, "D": 1.0}}, "material.nu"),
+        ({"geometry": {"builtin": "square4", "params": {"foo": 1}}}, "geometry.params.foo"),
+        ({"loads": {"point": [{"at": [0, 0], "F": "x"}]}}, r"loads.point\[0\].F"),
+        ({"loads": {"point": [{"at": "x"}]}}, r"loads.point\[0\].at"),
+        ({"loads": {"surface": {"const": "x"}}}, "loads.surface.const"),
+        ({"loads": {"edges": [{"patch": 0, "Q": "x"}]}}, r"loads.edges\[0\].Q"),
+        ({"reference": {"value": "x"}}, "reference.value"),
+        ({"reference": {"builtin": "point_load_series", "terms": "x"}}, "reference.terms"),
+        ({"outputs": {"eval_point": "x"}}, "outputs.eval_point"),
     ])
     def test_malformed_value_exit_code_2(self, tmp_path, change, path):
         doc = dict(SMOOTH, **change)
