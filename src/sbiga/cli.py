@@ -1,11 +1,10 @@
 """Command-line front: run, verify, converge, export.
 
 Exit codes: 0 success, 2 config/schema errors, 1 any other failure.
-A run repeats bitwise under the same BLAS thread count.  The null-space
-basis comes from a dense LAPACK QR, whose rounding depends on the thread
-count: on configs/square_smooth.json the CSV agrees under 1 and 2 threads
-through s=12, and the s=16 L2 error differs by 1.7e-6 relative.  Gauss
-orders and the null-space cutoff are config keys
+A run repeats bitwise, also across BLAS thread counts (1 and 2 threads
+give the same CSV on the bundled configs): the null-space basis comes from
+one small QR per interface, combined by sparse products.
+Gauss orders and the null-space cutoff are config keys
 (``discretization.quad_order``, ``discretization.tol_null``).
 """
 

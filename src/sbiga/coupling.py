@@ -5,10 +5,11 @@ singular center group, merge interface traces continuously, append the three
 scaling-center functions of each singular group, remove layers that violate
 essential boundary conditions (all encoded in M0), assemble the weighted
 rows C of normal-derivative jumps across all interfaces (MJ = C^T C), and
-span the C1 space with a sparse basis M1 of the null space of C, from a
-column-pivoted QR of its active columns.  M1 has unit columns but is not
-orthonormal.  System matrices in the coupled basis are congruences
-A = M1^T (M0^T Atilde M0) M1.  The dense eigenvector basis of MJ,
+span the C1 space with a sparse basis M1 of the null space of C, from one
+small column-pivoted QR per interface on the columns its jump rows touch.
+M1 is local, has unit columns but is not orthonormal, and its bits do not
+depend on the BLAS thread count.  System matrices in the coupled basis are
+congruences A = M1^T (M0^T Atilde M0) M1.  The dense eigenvector basis of MJ,
 :func:`nullspace`, is kept as the reference that the tests compare with.
 """
 
@@ -40,8 +41,9 @@ __all__ = [
 ]
 
 _ESSENTIAL_LAYERS = {"clamped": 2, "simply_supported": 1, "free": 0}
-# Least ratio of the smallest kept to the largest dropped QR pivot of
-# c1_basis; every level of the bundled configs shows at least 2.8e10.
+# Least ratio of the smallest kept to the largest dropped pivot of each
+# local QR of c1_basis; every level of the bundled configs shows at least
+# 6.2e11 (perforated disk, s=4).
 _RANK_GAP = 1e6
 
 
@@ -374,7 +376,7 @@ def _jump_operator(uspace, itf, sides, grads):
 
 def assemble_jump_rows(uspace, m0res, nquad=None):
     """Jump rows C of the C0 space (sparse, npts x N4), one walk over the
-    interfaces.
+    interfaces, and the row offsets of each interface's rows.
 
     Row k is sqrt(w_k) times the normal-derivative jump at interface
     quadrature point k, on the columns of M0, so that ||C v||^2 is the jump
@@ -396,7 +398,7 @@ def assemble_jump_rows(uspace, m0res, nquad=None):
     rows = sp.diags(sqrt_w) @ sp.vstack(jumps, format="csr")
     C = (rows @ m0res.matrix.tocsr()).tocsr()
     C.eliminate_zeros()
-    return C
+    return C, np.cumsum([0] + [len(ws) for _, ws in quad])
 
 
 def _gram(C):
@@ -408,7 +410,7 @@ def _gram(C):
 def assemble_jump_matrix(uspace, m0res, nquad=None):
     """Symmetric PSD Gram matrix MJ = C^T C of normal-derivative jumps
     (sparse, N4^2), C the jump rows of :func:`assemble_jump_rows`."""
-    return _gram(assemble_jump_rows(uspace, m0res, nquad))
+    return _gram(assemble_jump_rows(uspace, m0res, nquad)[0])
 
 
 def nullspace(MJ, tol=1e-10):
@@ -452,48 +454,83 @@ def nullspace(MJ, tol=1e-10):
     return M1, svals
 
 
-def c1_basis(C, tol=1e-10):
-    """Sparse basis M1 of {v : C v = 0} by column-pivoted QR of the jump rows.
+def _unit_columns(Z):
+    """Z scaled to unit columns, with entries |z| <= eps set to zero."""
+    Z = Z / np.linalg.norm(Z, axis=0)
+    Z[np.abs(Z) <= np.finfo(float).eps] = 0.0
+    return Z
 
-    Columns of C that are identically zero pass through as identity columns.
-    The active columns are factored densely, C P = Q R; pivots |R_kk| <=
-    sqrt(tol) * |R_00| count as zero, so ``tol`` is the relative eigenvalue
-    cutoff of MJ = C^T C.  The basis P [-R11^{-1} R12; I] has one free
-    variable per column; its columns are scaled to unit 2-norm and entries
-    |z| <= eps (Householder fill) are set to zero.  Raises ``no-c1-space``
-    when the smallest kept pivot is not ``_RANK_GAP`` times the largest
-    dropped one.  Returns (M1, |diag R|).
+
+def c1_basis(C, bounds=None, tol=1e-10):
+    """Sparse basis M1 of {v : C v = 0}, one row group of C at a time.
+
+    ``bounds`` are the row offsets of the groups (one group per interface);
+    ``None`` takes all of C as one group.  N starts as the identity.  For
+    each group C_k, the columns J of N that meet the columns of C_k are
+    factored densely, C_k N[:, J] P = Q R; pivots |R_kk| <= sqrt(tol) r00,
+    r00 the largest column norm of C, count as zero, so ``tol`` is the
+    relative eigenvalue cutoff of MJ = C^T C.  The local basis
+    Z = P [-R11^{-1} R12; I] has one free variable per column, unit columns
+    and no entries |z| <= eps (Householder fill); N[:, J] Z replaces N[:, J],
+    rescaled and pruned the same way where it combines earlier columns.
+    N is kept as a list of entries and N[:, J] is formed on its rows only.
+    The identity columns that no group touches stay first.  Raises
+    ``no-c1-space`` when in some group the smallest kept pivot is not
+    ``_RANK_GAP`` times the largest dropped one.  Returns (M1, r00, the
+    smallest ratio of kept to dropped pivots).
     """
-    C = sp.csc_matrix(C)
+    C = sp.csr_matrix(C)
     N4 = C.shape[1]
-    counts = np.diff(C.indptr)
-    active, inactive = np.flatnonzero(counts), np.flatnonzero(counts == 0)
-    n, rank, pivots = len(active), 0, np.zeros(0)
-    rows, cols, vals = [inactive], [np.arange(len(inactive))], [np.ones(len(inactive))]
-    if n:
-        _, R, perm = qr(C[:, active].toarray(), mode="raw", pivoting=True,
-                        overwrite_a=True, check_finite=False)
+    bounds = [0, C.shape[0]] if bounds is None else bounds
+    r00 = float(np.max(spla.norm(C, axis=0), initial=0.0))
+    crow = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    # entries (row, column, value) of N, and which columns are still e_i
+    Ni, Nc, Nd, plain = np.arange(N4), np.arange(N4), np.ones(N4), np.ones(N4, dtype=bool)
+    gap = np.inf
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ek = slice(C.indptr[lo], C.indptr[hi])
+        ci, cd, cr = C.indices[ek], C.data[ek], crow[ek] - lo
+        meets = np.zeros(N4, dtype=bool)
+        meets[ci] = True
+        J = np.unique(Nc[meets[Ni]])
+        if not len(J):
+            continue
+        kept = np.ones(len(plain), dtype=bool)
+        kept[J] = False
+        inJ = ~kept[Nc]
+        L = np.unique(Ni[inJ])
+        pos = np.full(N4, -1)
+        pos[L] = np.arange(len(L))
+        on = pos[ci] >= 0
+        D = np.zeros((hi - lo, len(L)))
+        D[cr[on], pos[ci[on]]] = cd[on]
+        # sparse, so that its products run outside BLAS and keep their bits
+        # under any thread count
+        NJ = sp.csr_matrix((Nd[inJ], (pos[Ni[inJ]], np.searchsorted(J, Nc[inJ]))),
+                           shape=(len(L), len(J)))
+        _, R, perm = qr(D @ NJ, mode="raw", pivoting=True, check_finite=False)
         pivots = np.abs(np.diagonal(R))
-        rank = int(np.count_nonzero(pivots > np.sqrt(tol) * pivots[0]))
-        if 0 < rank < len(pivots) and pivots[rank - 1] < _RANK_GAP * pivots[rank]:
-            raise CouplingError(
-                "no clear rank gap in the jump rows: kept pivot %.2e, dropped "
-                "pivot %.2e" % (pivots[rank - 1], pivots[rank]),
-                tag="no-c1-space",
-            )
-        Z = np.vstack([-solve_triangular(R[:rank, :rank], R[:rank, rank:n]),
-                       np.eye(n - rank)])
-        Z /= np.linalg.norm(Z, axis=0)
-        Z[np.abs(Z) <= np.finfo(float).eps] = 0.0
+        rank = int(np.count_nonzero(pivots > np.sqrt(tol) * r00))
+        if 0 < rank < len(pivots):
+            if pivots[rank - 1] < _RANK_GAP * pivots[rank]:
+                raise CouplingError(
+                    "no clear rank gap in the jump rows: kept pivot %.2e, dropped "
+                    "pivot %.2e" % (pivots[rank - 1], pivots[rank]),
+                    tag="no-c1-space",
+                )
+            gap = min(gap, pivots[rank - 1] / max(pivots[rank], np.finfo(float).tiny))
+        Z = np.vstack([-solve_triangular(R[:rank, :rank], R[:rank, rank:]), np.eye(len(J) - rank)])
+        Z = NJ @ _unit_columns(Z)[np.argsort(perm)]
+        if not plain[J].all():  # Z combines earlier columns
+            Z = _unit_columns(Z)
         r, c = np.nonzero(Z)
-        rows.append(active[perm[r]])
-        cols.append(len(inactive) + c)
-        vals.append(Z[r, c])
-    if N4 == rank:
+        Ni = np.concatenate([Ni[~inJ], L[r]])
+        Nc = np.concatenate([np.cumsum(kept)[Nc[~inJ]] - 1, kept.sum() + c])
+        Nd = np.concatenate([Nd[~inJ], Z[r, c]])
+        plain = np.concatenate([plain[kept], np.zeros(Z.shape[1], dtype=bool)])
+    if not len(plain):
         raise CouplingError("jump matrix has empty null space", tag="no-c1-space")
-    M1 = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(N4, N4 - rank))
-    return M1, pivots
+    return sp.csc_matrix((Nd, (Ni, Nc)), shape=(N4, len(plain))), r00, gap
 
 
 def gram_rank(MJ, tol):
@@ -525,18 +562,20 @@ def gram_rank(MJ, tol):
 class CoupledSpace:
     """A C1-coupled multipatch space with its transformation chain.
 
-    ``C`` holds the jump rows, ``M1`` the basis of their null space and
-    ``pivots`` the QR pivots |R_kk| of :func:`c1_basis`.
+    ``C`` holds the jump rows, ``M1`` the basis of their null space,
+    ``r00`` the largest column norm of C and ``rank_gap`` the smallest
+    ratio of kept to dropped QR pivots of :func:`c1_basis`.
     """
 
-    def __init__(self, domain, uspace, m0res, C, M1, pivots, tol_null):
+    def __init__(self, domain, uspace, m0res, C, M1, r00, rank_gap, tol_null):
         self.domain = domain
         self.uspace = uspace
         self.m0res = m0res
         self.M0 = m0res.matrix
         self.C = C
         self.M1 = M1
-        self.pivots = pivots
+        self.r00 = r00
+        self.rank_gap = rank_gap
         self.tol_null = tol_null
         self.M = (self.M0 @ self.M1).tocsc()
 
@@ -565,25 +604,22 @@ class CoupledSpace:
 def build_coupled_space(domain, tol_null=1e-10, uspace=None):
     """Full chain: M0, jump rows C, M1 with jump-seminorm verification.
 
-    The check bounds ||C z|| of every unit column z of M1 by 1e-8 |R_00|;
-    |R_00|^2 is the largest squared column norm of C, no larger than the
+    The check bounds ||C z|| of every unit column z of M1 by 1e-8 r00;
+    r00^2 is the largest squared column norm of C, no larger than the
     largest eigenvalue of MJ.
     """
     if uspace is None:
         uspace = UncoupledSpace.from_domain(domain)
     m0res = build_m0(uspace)
-    C = assemble_jump_rows(uspace, m0res)
-    M1, pivots = c1_basis(C, tol=tol_null)
-    cs = CoupledSpace(domain, uspace, m0res, C, M1, pivots, tol_null)
-    if len(pivots):
-        semi = spla.norm(C @ M1, axis=0)
-        if np.max(semi) > 1e-8 * pivots[0]:
-            raise CouplingError(
-                "null-space columns have nonzero jump seminorm (max %.2e)"
-                % np.max(semi),
-                tag="no-c1-space",
-            )
-    return cs
+    C, bounds = assemble_jump_rows(uspace, m0res)
+    M1, r00, gap = c1_basis(C, bounds, tol=tol_null)
+    semi = np.max(spla.norm(C @ M1, axis=0))
+    if semi > 1e-8 * r00:
+        raise CouplingError(
+            "null-space columns have nonzero jump seminorm (max %.2e)" % semi,
+            tag="no-c1-space",
+        )
+    return CoupledSpace(domain, uspace, m0res, C, M1, r00, gap, tol_null)
 
 
 def reproduction_vector(cspace, which):

@@ -625,10 +625,12 @@ def locate_point(domain, xy, tol=1e-9):
             continue
 
         def miss(z):
-            g = pa.curve.eval_one(z) - pa.x0
-            return g[0] * v[1] - g[1] * v[0]
+            """cross(F(z) - x0, v) and its derivative at the parameters z."""
+            g, dg = pa.curve.eval(z, nders=1)
+            g = g - pa.x0
+            return g[:, 0] * v[1] - g[:, 1] * v[0], dg[:, 0] * v[1] - dg[:, 1] * v[0]
 
-        f0, f1 = miss(0.0), miss(1.0)
+        (f0, f1), _ = miss([0.0, 1.0])
         if f0 == 0.0:
             z = 0.0
         elif f1 == 0.0:
@@ -636,16 +638,18 @@ def locate_point(domain, xy, tol=1e-9):
         elif f0 * f1 > 0.0:
             continue
         else:
-            lo, hi = 0.0, 1.0
-            flo = f0
+            # Newton from the secant point, bisecting whenever it leaves
+            # the bracket [lo, hi]
+            lo, hi, z = 0.0, 1.0, f0 / (f0 - f1)
             for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = miss(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            z = 0.5 * (lo + hi)
+                (fz,), (dfz,) = miss([z])
+                lo, hi = (lo, z) if f0 * fz <= 0.0 else (z, hi)
+                znew = z - fz / dfz if dfz != 0.0 else -1.0
+                if not lo <= znew <= hi:
+                    znew = 0.5 * (lo + hi)
+                z, step = znew, abs(znew - z)
+                if step <= 1e-13:
+                    break
         gpt = pa.curve.eval_one(z) - pa.x0
         if gpt @ v <= 0.0:
             continue

@@ -5,7 +5,11 @@
 * :func:`refine_to_segments_per_knot` inserts one knot at a time,
   validating a new knot vector after each;
 * :func:`build_m0_union_find` merges C0 traces with a union-find and walks
-  the uncoupled DOFs one by one.
+  the uncoupled DOFs one by one;
+* :func:`c1_basis_global_qr` factors all active columns of the jump rows in
+  one column-pivoted QR (the one-group case of ``c1_basis``);
+* :func:`locate_point_bisection` inverts the SB map by an 80-step bisection
+  (``locate_point`` must find the same patch and (zeta, xi) to 1e-12).
 
 The production versions in ``src/`` must reproduce them bit for bit; the
 tests compare raw bytes, not values within a tolerance.
@@ -13,9 +17,10 @@ tests compare raw bytes, not values within a tolerance.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import qr, solve_triangular
 
-from sbiga.coupling import _ESSENTIAL_LAYERS
-from sbiga.errors import GeometryError
+from sbiga.coupling import _ESSENTIAL_LAYERS, _RANK_GAP
+from sbiga.errors import CouplingError, GeometryError
 from sbiga.geometry import NurbsCurve
 from sbiga.splines import KnotVector
 
@@ -270,3 +275,79 @@ def assert_same_m0(res, uspace, domain=None):
                       (res.unc2col, unc2col))
     assert res.center_cols == center_cols
     assert set(np.flatnonzero(res.removed)) == removed
+
+
+def c1_basis_global_qr(C, tol=1e-10):
+    """Reference null-space basis of the jump rows: one column-pivoted QR of
+    all active columns, P [-R11^{-1} R12; I] with unit columns and entries
+    |z| <= eps set to zero, identity columns of the inactive DOFs first.
+    Returns (M1, |diag R|)."""
+    C = sp.csc_matrix(C)
+    N4 = C.shape[1]
+    counts = np.diff(C.indptr)
+    active, inactive = np.flatnonzero(counts), np.flatnonzero(counts == 0)
+    n, rank, pivots = len(active), 0, np.zeros(0)
+    rows, cols, vals = [inactive], [np.arange(len(inactive))], [np.ones(len(inactive))]
+    if n:
+        _, R, perm = qr(C[:, active].toarray(), mode="raw", pivoting=True,
+                        overwrite_a=True, check_finite=False)
+        pivots = np.abs(np.diagonal(R))
+        rank = int(np.count_nonzero(pivots > np.sqrt(tol) * pivots[0]))
+        if 0 < rank < len(pivots) and pivots[rank - 1] < _RANK_GAP * pivots[rank]:
+            raise CouplingError("no clear rank gap in the jump rows", tag="no-c1-space")
+        Z = np.vstack([-solve_triangular(R[:rank, :rank], R[:rank, rank:n]),
+                       np.eye(n - rank)])
+        Z /= np.linalg.norm(Z, axis=0)
+        Z[np.abs(Z) <= np.finfo(float).eps] = 0.0
+        r, c = np.nonzero(Z)
+        rows.append(active[perm[r]])
+        cols.append(len(inactive) + c)
+        vals.append(Z[r, c])
+    M1 = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(N4, N4 - rank))
+    return M1, pivots
+
+
+def locate_point_bisection(domain, xy, tol=1e-9):
+    """Reference SB-map inversion: for each patch whose boundary curve
+    brackets the ray to xy, an 80-step bisection of the cross product."""
+    xy = np.asarray(xy, dtype=float)
+    for g in domain.groups:
+        if g.c2 == 0.0 and np.hypot(*(xy - g.x0)) <= tol:
+            return g.patches[0], 0.5, 0.0
+    for k, pa in enumerate(domain.patches):
+        v = xy - pa.x0
+        rv = np.hypot(*v)
+        if rv == 0.0:
+            continue
+
+        def miss(z):
+            g = pa.curve.eval_one(z) - pa.x0
+            return g[0] * v[1] - g[1] * v[0]
+
+        f0, f1 = miss(0.0), miss(1.0)
+        if f0 == 0.0:
+            z = 0.0
+        elif f1 == 0.0:
+            z = 1.0
+        elif f0 * f1 > 0.0:
+            continue
+        else:
+            lo, hi, flo = 0.0, 1.0, f0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = miss(mid)
+                if flo * fm <= 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            z = 0.5 * (lo + hi)
+        gpt = pa.curve.eval_one(z) - pa.x0
+        if gpt @ v <= 0.0:
+            continue
+        xi = (rv / np.hypot(*gpt) - pa.c2) / pa.c1
+        if -tol <= xi <= 1.0 + tol:
+            xi = min(max(xi, 0.0), 1.0)
+            if np.max(np.abs(pa.map(z, xi) - xy)) <= max(tol, 1e-9):
+                return k, z, xi
+    raise GeometryError("point %s lies outside the domain" % xy, tag="load-error")

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import subspace_angles
 
+from reference_kernels import assert_same_bytes, c1_basis_global_qr
 from sbiga.coupling import (
     asg1_coefficients,
     assemble_jump_matrix,
@@ -374,10 +378,30 @@ def _oracle_contract(cs):
 class TestC1Basis:
     def test_small_jump_rows(self):
         # v1 - v2 = 0, v3 free: one unit column (1, 1, 0)/sqrt(2), one identity
-        M1, pivots = c1_basis(sp.csr_matrix([[1.0, -1.0, 0.0]]))
+        M1, r00, gap = c1_basis(sp.csr_matrix([[1.0, -1.0, 0.0]]))
         assert M1.shape == (3, 2)
         assert np.allclose(M1.toarray(), [[0.0, 0.5**0.5], [0.0, 0.5**0.5], [1.0, 0.0]])
-        assert pivots == pytest.approx([1.0])
+        assert r00 == pytest.approx(1.0) and gap == np.inf
+
+    def test_chained_row_groups(self):
+        # group 1: v0 = v1; group 2: v1 = 2 v2, sharing column 1; v3 free.
+        # The null space is span{(2, 2, 1, 0), e3}; per group and in one
+        # group alike the basis is e3 and (2, 2, 1, 0)/3 with unit columns.
+        C = sp.csr_matrix([[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, -2.0, 0.0]])
+        exact = [[0.0, 2 / 3], [0.0, 2 / 3], [0.0, 1 / 3], [1.0, 0.0]]
+        for bounds in ([0, 1, 2], None):
+            M1, r00, gap = c1_basis(C, bounds)
+            assert np.allclose(M1.toarray(), exact, rtol=0.0, atol=1e-15)
+            assert r00 == 2.0 and gap > 1e15
+
+    @pytest.mark.parametrize("path", ["configs/l_bracket.json", "perfbench/configs/square_smooth_p4.json"])
+    def test_one_group_is_global_qr(self, path):
+        # without row groups c1_basis is the global QR, byte for byte
+        for cs in _config_spaces(path):
+            M1, _, _ = c1_basis(cs.C, tol=cs.tol_null)
+            ref, _ = c1_basis_global_qr(cs.C, tol=cs.tol_null)
+            assert M1.shape == ref.shape
+            assert_same_bytes((M1.data, ref.data), (M1.indices, ref.indices), (M1.indptr, ref.indptr))
 
     def test_unclear_rank_gap_raises(self):
         # a cutoff of 1e-30 (pivots below 1e-15 |R_00|) lands inside the
@@ -393,6 +417,8 @@ class TestC1Basis:
 
     @pytest.mark.parametrize("path", [
         "configs/l_bracket.json",
+        "configs/square_smooth.json",
+        "configs/square_pointload.json",
         "perfbench/configs/perforated_disk_s2.json",
         "perfbench/configs/square_smooth_p3.json",
         "perfbench/configs/square_smooth_p4.json",
@@ -403,6 +429,35 @@ class TestC1Basis:
         for cs in _config_spaces(path):
             print("%s N6=%d angle %.1e own %.1e gap %.1e cond %.1f"
                   % ((path, cs.N6) + _oracle_contract(cs)))
+
+
+_HASH_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from sbiga.harness import CaseConfig
+from sbiga.plate import assemble_stiffness
+cfg = CaseConfig.from_file(sys.argv[1])
+base, _ = cfg.build_base_domain()
+cs = cfg.build_space(base, int(sys.argv[2]))
+for M in (cs.M1, assemble_stiffness(cs, cfg.material).tocsc()):
+    h = hashlib.sha256()
+    for a in (M.data, M.indices, M.indptr):
+        h.update(np.ascontiguousarray(a).tobytes())
+    print(h.hexdigest())
+"""
+
+
+def test_same_bits_under_any_blas_thread_count():
+    # M1 and A of the smooth square at s=16, built in fresh processes under
+    # one and two BLAS threads, hash the same (the global QR did not)
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _HASH_SCRIPT, str(ROOT / "configs" / "square_smooth.json"), "16"],
+                             env=env, capture_output=True, text=True, check=True)
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
 
 
 class TestCoupledSpace:

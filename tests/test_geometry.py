@@ -1,6 +1,10 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
+from reference_kernels import locate_point_bisection
 from sbiga.errors import GeometryError
 from sbiga.geometry import (
     NurbsCurve,
@@ -11,7 +15,7 @@ from sbiga.geometry import (
     make_domain,
     validate_star_shape,
 )
-from sbiga.models import disk4, square4
+from sbiga.models import disk4, perforated_disk, square4
 from sbiga.splines import make_open_knot_vector
 
 
@@ -316,3 +320,29 @@ class TestLocatePoint:
         dom = square4(degree=3)
         with pytest.raises(GeometryError):
             locate_point(dom, (2.0, 2.0))
+
+    def test_newton_matches_bisection_on_disk(self, monkeypatch):
+        # the benchmark's disk sample points (seed 0) and their dihedral
+        # images: the same patch and (zeta, xi) as the 80-step bisection,
+        # with at most a tenth of its curve evaluations
+        root = pathlib.Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+        wl = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(wl)
+        dom = perforated_disk(degree=3)[0].with_segments(2, 2, 1)
+        pts = [xy for p in wl.disk_sample_points(np.random.default_rng(0), 3)
+               for xy in wl.dihedral_images(*p)]
+        calls = [0]
+        curve_eval = NurbsCurve.eval
+
+        def counted(self, *args, **kw):
+            calls[0] += 1
+            return curve_eval(self, *args, **kw)
+
+        monkeypatch.setattr(NurbsCurve, "eval", counted)
+        ref = [locate_point_bisection(dom, xy) for xy in pts]
+        n_ref, calls[0] = calls[0], 0
+        got = [locate_point(dom, xy) for xy in pts]
+        assert 10 * calls[0] <= n_ref
+        for (m, z, x), (mr, zr, xr) in zip(got, ref):
+            assert m == mr and abs(z - zr) <= 1e-12 and abs(x - xr) <= 1e-12
