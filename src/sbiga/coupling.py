@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import qr, solve_triangular
 
 from .errors import CouplingError, GeometryError
+from .geometry import ESSENTIAL_LAYERS
 from .space import UncoupledSpace
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "c1_jump_report",
 ]
 
-_ESSENTIAL_LAYERS = {"clamped": 2, "simply_supported": 1, "free": 0}
 # Least ratio of the smallest kept to the largest dropped pivot of each
 # local QR of c1_basis; every level of the bundled configs shows at least
 # 6.2e11 (perforated disk, s=4).
@@ -277,7 +277,7 @@ def build_m0(uspace):
     for be in domain.boundary:
         if be.edge != "outer":
             continue
-        nlay = _ESSENTIAL_LAYERS.get(be.tag)
+        nlay = ESSENTIAL_LAYERS.get(be.tag)
         if nlay is None:
             raise GeometryError("unknown bc tag %r" % be.tag, tag="config-error")
         if nlay == 0:

@@ -414,17 +414,22 @@ class MultiPatchDomain:
         return None
 
     def with_segments(self, segments_zeta, segments_xi, r):
-        """Uniformly refined copy; topology (and tags) carried over."""
+        """Uniformly refined copy.  Knot insertion leaves the geometry, and
+        with it the groups, interfaces and tags, unchanged, so they are
+        carried over."""
         patches = [pa.with_segments(segments_zeta, segments_xi, r) for pa in self.patches]
-        dom = make_domain(patches)
-        for be in dom.boundary:
-            src = self.boundary_for(be.patch, be.edge)
-            if src is not None:
-                be.tag = src.tag
-        return dom
+        groups = [
+            CenterGroup(g.x0, g.c1, g.c2, patches[g.patches[0]].radial, list(g.patches))
+            for g in self.groups
+        ]
+        boundary = [BoundaryEdge(be.patch, be.edge, be.tag) for be in self.boundary]
+        return MultiPatchDomain(patches, groups, list(self.interfaces), boundary)
 
 
 _MATCH_TOL = 1e-12
+# The boundary-condition tags and the number of outermost radial layers
+# each removes from an outer edge.
+ESSENTIAL_LAYERS = {"clamped": 2, "simply_supported": 1, "free": 0}
 
 
 def _same_point(a, b, tol=_MATCH_TOL):
@@ -490,7 +495,8 @@ def make_domain(patches, bc=None):
                 tag="topology-error",
             )
 
-    # radial interfaces inside groups (gamma_L(1) == gamma_R(0))
+    # radial interfaces inside groups (gamma_L(1) == gamma_R(0)); corners
+    # that almost meet are rejected
     interfaces = []
     has_succ = set()
     has_pred = set()
@@ -499,8 +505,8 @@ def make_domain(patches, bc=None):
             for b in g.patches:
                 if a == b:
                     continue
-                ca, cb = patches[a].curve, patches[b].curve
-                if _same_point(ca.points[-1], cb.points[0]):
+                end, start = patches[a].curve.points[-1], patches[b].curve.points[0]
+                if _same_point(end, start):
                     if a in has_succ or b in has_pred:
                         raise GeometryError(
                             "ambiguous radial interface at patch %d-%d" % (a, b),
@@ -509,16 +515,7 @@ def make_domain(patches, bc=None):
                     interfaces.append(Interface("radial", a, b))
                     has_succ.add(a)
                     has_pred.add(b)
-    for g in groups:
-        for a in g.patches:
-            for b in g.patches:
-                ca, cb = patches[a].curve, patches[b].curve
-                if (
-                    a != b
-                    and a not in has_succ
-                    and _same_point(ca.points[-1], cb.points[0], 1e-6)
-                    and not _same_point(ca.points[-1], cb.points[0])
-                ):
+                elif _same_point(end, start, 1e-6):
                     raise GeometryError(
                         "corner control points of patches %d/%d almost meet but "
                         "differ by more than 1e-12" % (a, b),
@@ -526,15 +523,15 @@ def make_domain(patches, bc=None):
                     )
 
     # outer interfaces across groups (mirrored xi=1 edges)
+    edges = [pa.outer_edge_curve() for pa in patches]
+    ts = np.linspace(0.07, 0.93, 7)
     outer_matched = set()
     for gi, ga in enumerate(groups):
         for gb in groups[gi + 1 :]:
             for a in ga.patches:
                 for b in gb.patches:
-                    ca = patches[a].outer_edge_curve()
-                    cb = patches[b].outer_edge_curve()
+                    ca, cb = edges[a], edges[b]
                     if _same_point(ca.start(), cb.end()) and _same_point(ca.end(), cb.start()):
-                        ts = np.linspace(0.07, 0.93, 7)
                         gap = np.max(np.abs(ca.eval(ts) - cb.eval(1.0 - ts)))
                         if gap > 1e-9:
                             continue  # shared endpoints only (two hole halves)
@@ -571,10 +568,9 @@ def make_domain(patches, bc=None):
 
 def apply_bc_tags(domain, bc):
     """Set BC tags from {'all': tag} or {patch_index: tag} (outer edges)."""
-    valid = {"clamped", "simply_supported", "free"}
     if "all" in bc:
         tag = bc["all"]
-        if tag not in valid:
+        if tag not in ESSENTIAL_LAYERS:
             raise GeometryError("unknown bc tag %r" % tag, tag="config-error")
         for be in domain.boundary:
             if be.edge == "outer":
@@ -582,7 +578,7 @@ def apply_bc_tags(domain, bc):
         bc = {k: v for k, v in bc.items() if k != "all"}
     for key, tag in bc.items():
         k = int(key)
-        if tag not in valid:
+        if tag not in ESSENTIAL_LAYERS:
             raise GeometryError("unknown bc tag %r" % tag, tag="config-error")
         be = domain.boundary_for(k, "outer")
         if be is None:
@@ -630,7 +626,9 @@ def locate_point(domain, xy, tol=1e-9):
             g = g - pa.x0
             return g[:, 0] * v[1] - g[:, 1] * v[0], dg[:, 0] * v[1] - dg[:, 1] * v[0]
 
-        (f0, f1), _ = miss([0.0, 1.0])
+        # open knot vectors interpolate the end control points
+        ends = pa.curve.points[[0, -1]] - pa.x0
+        f0, f1 = ends[:, 0] * v[1] - ends[:, 1] * v[0]
         if f0 == 0.0:
             z = 0.0
         elif f1 == 0.0:

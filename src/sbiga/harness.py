@@ -35,7 +35,7 @@ import numpy as np
 from . import models
 from .coupling import build_coupled_space, verify_asg1, asg1_coefficients, c1_jump_report, reproduction_vector
 from .errors import ConfigError
-from .geometry import apply_bc_tags, locate_point
+from .geometry import ESSENTIAL_LAYERS, apply_bc_tags, locate_point
 from .trim import assemble_trimmed_domain
 from .plate import (
     LoadSpec,
@@ -274,7 +274,7 @@ class CaseConfig:
         )
         self.bcs = doc.get("bcs", {}) or {}
         for tag in self._bc_tags(self.bcs):
-            if tag not in ("clamped", "simply_supported", "free"):
+            if tag not in ESSENTIAL_LAYERS:
                 raise ConfigError("unknown bc tag %r" % tag, tag="config-error")
         self.loads = doc.get("loads", {}) or {}
         self.point_loads = []

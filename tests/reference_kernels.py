@@ -9,7 +9,11 @@
 * :func:`c1_basis_global_qr` factors all active columns of the jump rows in
   one column-pivoted QR (the one-group case of ``c1_basis``);
 * :func:`locate_point_bisection` inverts the SB map by an 80-step bisection
-  (``locate_point`` must find the same patch and (zeta, xi) to 1e-12).
+  (``locate_point`` must find the same patch and (zeta, xi) to 1e-12);
+* :func:`with_segments_detected` refines a domain by detecting its topology
+  again on the refined patches and copying the tags over
+  (``MultiPatchDomain.with_segments`` must give the same groups, interfaces
+  and boundary edges).
 
 The production versions in ``src/`` must reproduce them bit for bit; the
 tests compare raw bytes, not values within a tolerance.
@@ -19,9 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import qr, solve_triangular
 
-from sbiga.coupling import _ESSENTIAL_LAYERS, _RANK_GAP
+from sbiga.coupling import _RANK_GAP
 from sbiga.errors import CouplingError, GeometryError
-from sbiga.geometry import NurbsCurve
+from sbiga.geometry import ESSENTIAL_LAYERS, NurbsCurve, make_domain
 from sbiga.splines import KnotVector
 
 
@@ -212,7 +216,7 @@ def build_m0_union_find(uspace, domain=None):
     for be in domain.boundary:
         if be.edge != "outer":
             continue
-        nlay = _ESSENTIAL_LAYERS[be.tag]
+        nlay = ESSENTIAL_LAYERS[be.tag]
         if nlay == 0:
             continue
         m = be.patch
@@ -351,3 +355,29 @@ def locate_point_bisection(domain, xy, tol=1e-9):
             if np.max(np.abs(pa.map(z, xi) - xy)) <= max(tol, 1e-9):
                 return k, z, xi
     raise GeometryError("point %s lies outside the domain" % xy, tag="load-error")
+
+
+def with_segments_detected(domain, segments_zeta, segments_xi, r):
+    """Reference refinement: ``make_domain`` on the refined patches, then the
+    tags of the base domain copied over edge by edge."""
+    patches = [pa.with_segments(segments_zeta, segments_xi, r) for pa in domain.patches]
+    dom = make_domain(patches)
+    for be in dom.boundary:
+        src = domain.boundary_for(be.patch, be.edge)
+        if src is not None:
+            be.tag = src.tag
+    return dom
+
+
+def assert_same_topology(dom, ref):
+    """Same groups, interfaces (in order) and tagged boundary edges."""
+    assert [(i.kind, i.left, i.right, i.flip) for i in dom.interfaces] == [
+        (i.kind, i.left, i.right, i.flip) for i in ref.interfaces
+    ]
+    assert len(dom.groups) == len(ref.groups)
+    for g, h in zip(dom.groups, ref.groups):
+        assert_same_bytes((g.x0, h.x0), (g.radial.values, h.radial.values))
+        assert (g.c1, g.c2, g.radial.p, g.patches) == (h.c1, h.c2, h.radial.p, h.patches)
+    assert [(b.patch, b.edge, b.tag) for b in dom.boundary] == [
+        (b.patch, b.edge, b.tag) for b in ref.boundary
+    ]

@@ -15,7 +15,7 @@ from sbiga.geometry import (
     make_domain,
     validate_star_shape,
 )
-from sbiga.models import disk4, perforated_disk, square4
+from sbiga.models import disk4, perforated_disk, square4, two_blocks_square
 from sbiga.splines import make_open_knot_vector
 
 
@@ -274,6 +274,60 @@ class TestMakeDomain:
         with pytest.raises(GeometryError):
             make_domain([SBPatch(c, (0.5, 0.0))])
 
+    def test_ambiguous_radial_interface_rejected(self):
+        # a second copy of the top edge also starts where the left edge ends
+        ends = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
+        loop = [line_curve(a, b, 2) for a, b in zip(ends, ends[1:])]
+        with pytest.raises(GeometryError, match="ambiguous radial interface at patch 0-4"):
+            make_domain([SBPatch(c, (0.5, 0.5)) for c in loop + [loop[1]]])
+
+    @staticmethod
+    def _two_blocks_with_cut(left_cut, right_cut):
+        """The patches of two_blocks_square with the curves of the cut line
+        x = 1/2 (patch 3 of the left block, patch 5 of the right) replaced."""
+        patches = list(two_blocks_square(degree=2).patches)
+        for k, curve in ((3, left_cut), (5, right_cut)):
+            patches[k] = SBPatch(curve, patches[k].x0)
+        return patches
+
+    def test_coinciding_outer_edges_must_mirror(self):
+        # the same line, but one side carries an extra knot
+        cut = line_curve((0.5, 1.0), (0.5, 0.0), 2)
+        patches = self._two_blocks_with_cut(cut.insert_knot(0.5), cut.reversed_curve())
+        with pytest.raises(GeometryError, match="control data does not mirror"):
+            make_domain(patches)
+
+    def test_curved_interface_between_groups_rejected(self):
+        cut = NurbsCurve(make_open_knot_vector(2, 1, 1), [(0.5, 1.0), (0.55, 0.5), (0.5, 0.0)])
+        patches = self._two_blocks_with_cut(cut, cut.reversed_curve())
+        with pytest.raises(GeometryError, match="not straight"):
+            make_domain(patches)
+
+    def test_outer_edge_curve_built_once_per_patch(self, monkeypatch):
+        # make_domain builds each patch's xi = 1 edge once; refinement
+        # carries the topology over and builds none
+        calls = []
+        edge_curve = SBPatch.outer_edge_curve
+
+        def counted(self):
+            calls.append(self)
+            return edge_curve(self)
+
+        base, _ = perforated_disk(degree=3)
+        monkeypatch.setattr(SBPatch, "outer_edge_curve", counted)
+        dom = make_domain(base.patches)
+        assert len(calls) == len(dom.patches) == len({id(pa) for pa in calls})
+        calls.clear()
+        dom.with_segments(2, 2, 1)
+        assert calls == []
+
+    def test_refined_tags_are_copies(self):
+        base = square4(degree=2, bc={"all": "clamped"})
+        ref = base.with_segments(2, 2, 1)
+        ref.boundary_for(2).tag = "free"
+        assert base.boundary_for(2).tag == "clamped"
+        assert ref.boundary_for(1).tag == "clamped"
+
     def test_bc_tags(self):
         dom = square4(degree=2, bc={"all": "clamped", 2: "free"})
         tags = {be.patch: be.tag for be in dom.boundary if be.edge == "outer"}
@@ -344,5 +398,8 @@ class TestLocatePoint:
         n_ref, calls[0] = calls[0], 0
         got = [locate_point(dom, xy) for xy in pts]
         assert 10 * calls[0] <= n_ref
+        # the bracket values at zeta = 0 and 1 come from the end control
+        # points, without a curve evaluation
+        assert calls[0] <= 2800
         for (m, z, x), (mr, zr, xr) in zip(got, ref):
             assert m == mr and abs(z - zr) <= 1e-12 and abs(x - xr) <= 1e-12

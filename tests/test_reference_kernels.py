@@ -9,11 +9,14 @@ import pytest
 from reference_kernels import (
     assert_same_bytes,
     assert_same_m0,
+    assert_same_topology,
     ders_basis_ratio,
     refine_to_segments_per_knot,
+    with_segments_detected,
 )
+from sbiga import models
 from sbiga.coupling import build_m0
-from sbiga.harness import CaseConfig
+from sbiga.harness import _GEOMETRY_BUILDERS, CaseConfig, _trimmed
 from sbiga.space import UncoupledSpace
 from sbiga.splines import KnotVector, ders_basis, insert_knot, make_open_knot_vector
 from sbiga.stabilize import combined_uncoupled_space
@@ -104,6 +107,23 @@ class TestConfigLevels:
             else:
                 us = UncoupledSpace.from_domain(base.with_segments(s, s, cfg.r))
             assert_same_m0(build_m0(us), us)
+
+
+    def test_topology_carried_over(self, path):
+        cfg, base = _config_levels(path)
+        for s in cfg.segments + ([cfg.stabilize_fine] if cfg.stabilize_fine else []):
+            assert_same_topology(base.with_segments(s, s, cfg.r),
+                                 with_segments_detected(base, s, s, cfg.r))
+
+
+_BUILDERS = dict(_GEOMETRY_BUILDERS, square_with_circle_hole=_trimmed(models.square_with_circle_hole))
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_model_topology_carried_over(name):
+    built = _BUILDERS[name](degree=3)
+    base = built[0] if isinstance(built, tuple) else built
+    assert_same_topology(base.with_segments(3, 2, 1), with_segments_detected(base, 3, 2, 1))
 
 
 def test_example_spaces_m0_bitwise(example_spaces):
