@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import qr, solve_triangular
 
 from .errors import CouplingError, GeometryError
-from .geometry import ESSENTIAL_LAYERS
+from .geometry import ESSENTIAL_LAYERS, unit_normal
 from .space import UncoupledSpace
 
 __all__ = [
@@ -363,15 +363,14 @@ def _side_gradients(uspace, sides):
     return out
 
 
-def _jump_operator(uspace, itf, sides, grads):
+def _jump_operator(N, normal, grads):
     """Sparse (npts, N) operator of the normal-derivative jump
     n . grad(left) - n . grad(right) on the uncoupled functions, n the
-    unit normal of the left edge, from both sides' gradients."""
-    m, z, x = sides[0]
-    normal = uspace.domain.patches[m].edge_normal(z, x, itf.sides[0].ndir)[:, :, None]
+    unit normal (npts, 2) of the left edge, from both sides' gradients."""
     (idxL, GL), (idxR, GR) = grads
+    normal = normal[:, :, None]
     vals = np.hstack([(GL @ normal)[..., 0], -(GR @ normal)[..., 0]])
-    return _point_rows(np.hstack([idxL, idxR]), vals, uspace.N)
+    return _point_rows(np.hstack([idxL, idxR]), vals, N)
 
 
 def assemble_jump_rows(uspace, m0res, nquad=None):
@@ -388,17 +387,17 @@ def assemble_jump_rows(uspace, m0res, nquad=None):
     domain = uspace.domain
     nq = nquad or (domain.p + 2)
     quad = [itf.sides[0].rule(domain, nq) for itf in domain.interfaces]
-    sides = [_interface_sides(itf, ts) for itf, (ts, _) in zip(domain.interfaces, quad)]
+    sides = [_interface_sides(itf, ts) for itf, (ts, _, _) in zip(domain.interfaces, quad)]
     grads = _side_gradients(uspace, [side for pair in sides for side in pair])
     jumps = [sp.csr_matrix((0, uspace.N))] + [
-        _jump_operator(uspace, itf, pair, grads[2 * k : 2 * k + 2])
-        for k, (itf, pair) in enumerate(zip(domain.interfaces, sides))
+        _jump_operator(uspace.N, unit_normal(geo, itf.sides[0].ndir), grads[2 * k : 2 * k + 2])
+        for k, (itf, (_, _, geo)) in enumerate(zip(domain.interfaces, quad))
     ]
-    sqrt_w = np.sqrt(np.concatenate([np.empty(0)] + [ws for _, ws in quad]))
+    sqrt_w = np.sqrt(np.concatenate([np.empty(0)] + [ws for _, ws, _ in quad]))
     rows = sp.diags(sqrt_w) @ sp.vstack(jumps, format="csr")
     C = (rows @ m0res.matrix.tocsr()).tocsr()
     C.eliminate_zeros()
-    return C, np.cumsum([0] + [len(ws) for _, ws in quad])
+    return C, np.cumsum([0] + [len(ws) for _, ws, _ in quad])
 
 
 def _gram(C):
@@ -693,7 +692,9 @@ def c1_jump_report(cspace, nsamples=50, rng=None):
         interior = [(m, rng.uniform(0.05, 0.95, (25, 2))) for m in (itf.left, itf.right)]
         pair = _interface_sides(itf, ts)
         sides = _side_gradients(uspace, pair)
-        jump = _jump_operator(uspace, itf, pair, sides)
+        m, z, x = pair[0]
+        normal = uspace.domain.patches[m].edge_normal(z, x, itf.sides[0].ndir)
+        jump = _jump_operator(uspace.N, normal, sides)
         for m, zx in interior:
             idx, _, G, _ = uspace.physical_eval(m, zx[:, 0], zx[:, 1], nders=1)
             sides.append((idx, G))

@@ -215,6 +215,15 @@ def jacobian_inverse(geo):
     return geo["J22"] / det, -geo["J12"] / det, -geo["J21"] / det, geo["J11"] / det
 
 
+def unit_normal(geo, ndir):
+    """Unit normals J^{-T} ndir / |J^{-T} ndir| from the :func:`sb_geometry`
+    dict: ndir = (1, 0) gives the normal of the line zeta = const, (0, 1)
+    that of xi = const, both pointing to increasing parameter."""
+    a, b, c, d = jacobian_inverse(geo)
+    n = np.stack([a * ndir[0] + c * ndir[1], b * ndir[0] + d * ndir[1]], axis=-1)
+    return n / np.hypot(n[..., 0], n[..., 1])[..., None]
+
+
 class SBPatch:
     """One scaled-boundary patch."""
 
@@ -260,12 +269,8 @@ class SBPatch:
         return sb_geometry(*self.curve.eval(zeta, nders=2), qv, self.c1, self.x0)
 
     def edge_normal(self, zeta, xi, ndir):
-        """Unit normals J^{-T} ndir / |J^{-T} ndir| at points (zeta, xi):
-        ndir = (1, 0) gives the normal of the line zeta = const, (0, 1) that
-        of xi = const, both pointing to increasing parameter."""
-        a, b, c, d = jacobian_inverse(self.geom_eval(zeta, xi))
-        n = np.stack([a * ndir[0] + c * ndir[1], b * ndir[0] + d * ndir[1]], axis=-1)
-        return n / np.hypot(n[..., 0], n[..., 1])[..., None]
+        """:func:`unit_normal` at points (zeta, xi)."""
+        return unit_normal(self.geom_eval(zeta, xi), ndir)
 
     def control_net(self, curve=None, radial=None):
         """Control net C[i, j] = q(g_j)(C_i - x0) + x0 (g_j radial Greville).
@@ -330,15 +335,17 @@ class PatchEdge:
         return (fixed, t) if self.axis == 0 else (t, fixed)
 
     def rule(self, domain, nq):
-        """nq-point Gauss rule on every knot span of the edge: parameters t
-        and the weights times the arc measure |dF/dt|."""
+        """nq-point Gauss rule on every knot span of the edge: parameters t,
+        the weights times the arc measure |dF/dt|, and the
+        :func:`sb_geometry` dict at the points, for callers that need more
+        of the map there."""
         patch = domain.patches[self.patch]
         kv = patch.radial if self.axis == 0 else patch.curve.kv
         rules = [gauss_points(nq, a, b) for _, a, b in kv.spans()]
         ts, ws = (np.concatenate(part) for part in zip(*rules))
         geo = patch.geom_eval(*self.points(ts))
         col = "2" if self.axis == 0 else "1"
-        return ts, ws * np.hypot(geo["J1" + col], geo["J2" + col])
+        return ts, ws * np.hypot(geo["J1" + col], geo["J2" + col]), geo
 
 
 class Interface:
@@ -432,8 +439,10 @@ _MATCH_TOL = 1e-12
 ESSENTIAL_LAYERS = {"clamped": 2, "simply_supported": 1, "free": 0}
 
 
-def _same_point(a, b, tol=_MATCH_TOL):
-    return np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol
+def _point_gaps(P, Q):
+    """Max-norm distances max|P_i - Q_j| between the rows of two point
+    arrays, shape (len(P), len(Q))."""
+    return np.max(np.abs(P[:, None, :] - Q[None, :, :]), axis=-1)
 
 
 def _curves_mirror(ca, cb, tol=_MATCH_TOL):
@@ -466,12 +475,14 @@ def make_domain(patches, bc=None):
             )
 
     # center groups
+    x0s = np.array([pa.x0 for pa in patches])
+    same_x0 = _point_gaps(x0s, x0s) <= 1e-14
     groups = []
     for k, pa in enumerate(patches):
         placed = False
         for g in groups:
             if (
-                _same_point(g.x0, pa.x0, 1e-14)
+                same_x0[g.patches[0], k]
                 and g.c1 == pa.c1
                 and g.c2 == pa.c2
                 and g.radial == pa.radial
@@ -501,54 +512,57 @@ def make_domain(patches, bc=None):
     has_succ = set()
     has_pred = set()
     for g in groups:
-        for a in g.patches:
-            for b in g.patches:
-                if a == b:
-                    continue
-                end, start = patches[a].curve.points[-1], patches[b].curve.points[0]
-                if _same_point(end, start):
-                    if a in has_succ or b in has_pred:
-                        raise GeometryError(
-                            "ambiguous radial interface at patch %d-%d" % (a, b),
-                            tag="topology-error",
-                        )
-                    interfaces.append(Interface("radial", a, b))
-                    has_succ.add(a)
-                    has_pred.add(b)
-                elif _same_point(end, start, 1e-6):
-                    raise GeometryError(
-                        "corner control points of patches %d/%d almost meet but "
-                        "differ by more than 1e-12" % (a, b),
-                        tag="topology-error",
-                    )
+        gaps = _point_gaps(np.array([patches[a].curve.points[-1] for a in g.patches]),
+                           np.array([patches[b].curve.points[0] for b in g.patches]))
+        np.fill_diagonal(gaps, np.inf)
+        for i, j in zip(*np.nonzero(gaps <= 1e-6)):
+            a, b = g.patches[i], g.patches[j]
+            if gaps[i, j] > _MATCH_TOL:
+                raise GeometryError(
+                    "corner control points of patches %d/%d almost meet but "
+                    "differ by more than 1e-12" % (a, b),
+                    tag="topology-error",
+                )
+            if a in has_succ or b in has_pred:
+                raise GeometryError(
+                    "ambiguous radial interface at patch %d-%d" % (a, b),
+                    tag="topology-error",
+                )
+            interfaces.append(Interface("radial", a, b))
+            has_succ.add(a)
+            has_pred.add(b)
 
     # outer interfaces across groups (mirrored xi=1 edges)
+    # (start of a meets end of b and end of a meets start of b, a in an
+    # earlier group than b), in the order of groups, then patches
     edges = [pa.outer_edge_curve() for pa in patches]
+    gap = _point_gaps(np.array([c.start() for c in edges]), np.array([c.end() for c in edges]))
+    gid = np.empty(len(patches), dtype=int)
+    for gi, g in enumerate(groups):
+        gid[g.patches] = gi
+    meets = (gap <= _MATCH_TOL) & (gap.T <= _MATCH_TOL) & (gid[:, None] < gid[None, :])
     ts = np.linspace(0.07, 0.93, 7)
     outer_matched = set()
-    for gi, ga in enumerate(groups):
-        for gb in groups[gi + 1 :]:
-            for a in ga.patches:
-                for b in gb.patches:
-                    ca, cb = edges[a], edges[b]
-                    if _same_point(ca.start(), cb.end()) and _same_point(ca.end(), cb.start()):
-                        gap = np.max(np.abs(ca.eval(ts) - cb.eval(1.0 - ts)))
-                        if gap > 1e-9:
-                            continue  # shared endpoints only (two hole halves)
-                        if not _curves_mirror(ca, cb):
-                            raise GeometryError(
-                                "outer edges of patches %d/%d coincide but control "
-                                "data does not mirror" % (a, b),
-                                tag="topology-error",
-                            )
-                        if not ca.is_straight(1e-10):
-                            raise GeometryError(
-                                "interface between center groups (patches %d/%d) is "
-                                "not straight" % (a, b),
-                                tag="topology-error",
-                            )
-                        interfaces.append(Interface("outer", a, b))
-                        outer_matched.update((a, b))
+    left, right = np.nonzero(meets)
+    order = np.lexsort((right, left, gid[right], gid[left]))
+    for a, b in zip(left[order].tolist(), right[order].tolist()):
+        ca, cb = edges[a], edges[b]
+        if np.max(np.abs(ca.eval(ts) - cb.eval(1.0 - ts))) > 1e-9:
+            continue  # shared endpoints only (two hole halves)
+        if not _curves_mirror(ca, cb):
+            raise GeometryError(
+                "outer edges of patches %d/%d coincide but control "
+                "data does not mirror" % (a, b),
+                tag="topology-error",
+            )
+        if not ca.is_straight(1e-10):
+            raise GeometryError(
+                "interface between center groups (patches %d/%d) is "
+                "not straight" % (a, b),
+                tag="topology-error",
+            )
+        interfaces.append(Interface("outer", a, b))
+        outer_matched.update((a, b))
 
     # boundary edges
     boundary = []

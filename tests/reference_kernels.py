@@ -13,7 +13,10 @@
 * :func:`with_segments_detected` refines a domain by detecting its topology
   again on the refined patches and copying the tags over
   (``MultiPatchDomain.with_segments`` must give the same groups, interfaces
-  and boundary edges).
+  and boundary edges);
+* :func:`interfaces_pairwise` finds the interfaces of a domain by comparing
+  end points pair by pair (``make_domain`` must list the same ones in the
+  same order).
 
 The production versions in ``src/`` must reproduce them bit for bit; the
 tests compare raw bytes, not values within a tolerance.
@@ -367,6 +370,35 @@ def with_segments_detected(domain, segments_zeta, segments_xi, r):
         if src is not None:
             be.tag = src.tag
     return dom
+
+
+def interfaces_pairwise(domain):
+    """Reference interface search of ``make_domain``: end points compared
+    pair by pair, (kind, left, right) in the order found.  Radial pairs
+    inside each group, then outer pairs across groups whose mirrored xi = 1
+    edges coincide."""
+    patches, groups = domain.patches, domain.groups
+
+    def same(a, b):
+        return np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1e-12
+
+    found = []
+    for g in groups:
+        for a in g.patches:
+            for b in g.patches:
+                if a != b and same(patches[a].curve.points[-1], patches[b].curve.points[0]):
+                    found.append(("radial", a, b))
+    edges = [pa.outer_edge_curve() for pa in patches]
+    ts = np.linspace(0.07, 0.93, 7)
+    for gi, ga in enumerate(groups):
+        for gb in groups[gi + 1 :]:
+            for a in ga.patches:
+                for b in gb.patches:
+                    ca, cb = edges[a], edges[b]
+                    if (same(ca.start(), cb.end()) and same(ca.end(), cb.start())
+                            and np.max(np.abs(ca.eval(ts) - cb.eval(1.0 - ts))) <= 1e-9):
+                        found.append(("outer", a, b))
+    return found
 
 
 def assert_same_topology(dom, ref):

@@ -13,6 +13,7 @@ from reference_kernels import assert_same_bytes, c1_basis_global_qr
 from sbiga.coupling import (
     asg1_coefficients,
     assemble_jump_matrix,
+    assemble_jump_rows,
     build_coupled_space,
     build_m0,
     c1_basis,
@@ -238,6 +239,24 @@ class TestJumpMatrix:
         assert k >= 0
         row = np.abs(MJ[k].toarray())
         assert row.max() == 0.0
+
+    def test_map_evaluated_once_per_edge(self, monkeypatch):
+        # the arc measure and the normal of an interface share one
+        # evaluation of the SB map; the gradients add one per patch
+        dom = two_blocks_square(degree=3).with_segments(2, 2, 1)
+        us = UncoupledSpace.from_domain(dom)
+        res = build_m0(us)
+        calls = []
+        geom_eval = SBPatch.geom_eval
+
+        def counted(self, zeta, xi):
+            calls.append(self)
+            return geom_eval(self, zeta, xi)
+
+        monkeypatch.setattr(SBPatch, "geom_eval", counted)
+        assemble_jump_rows(us, res)
+        patches = {m for itf in dom.interfaces for m in (itf.left, itf.right)}
+        assert len(calls) == len(dom.interfaces) + len(patches)
 
     def test_over_integration_oracle(self):
         dom = fan2(degree=2).with_segments(1, 1, 1)

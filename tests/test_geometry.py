@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reference_kernels import locate_point_bisection
+from sbiga import geometry
 from sbiga.errors import GeometryError
 from sbiga.geometry import (
     NurbsCurve,
@@ -320,6 +321,21 @@ class TestMakeDomain:
         calls.clear()
         dom.with_segments(2, 2, 1)
         assert calls == []
+
+    def test_end_points_compared_once_per_group(self, monkeypatch):
+        # one array comparison for the centers, one per group for the radial
+        # interfaces and one for the outer ones, not one per pair of patches
+        calls = []
+        point_gaps = geometry._point_gaps
+
+        def counted(P, Q):
+            calls.append((len(P), len(Q)))
+            return point_gaps(P, Q)
+
+        base, _ = perforated_disk(degree=3)
+        monkeypatch.setattr(geometry, "_point_gaps", counted)
+        dom = make_domain(base.patches)
+        assert len(calls) == len(dom.groups) + 2
 
     def test_refined_tags_are_copies(self):
         base = square4(degree=2, bc={"all": "clamped"})

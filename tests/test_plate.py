@@ -1,4 +1,5 @@
 import functools
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from sbiga.coupling import (
 )
 from sbiga.errors import AssemblyError, GeometryError, SolverError
 from sbiga.geometry import NurbsCurve, SBPatch, line_curve, locate_point, make_domain
-from sbiga.harness import _reproduction_error
+from sbiga.harness import CaseConfig, _reproduction_error
 from sbiga.models import _polyline_loop, fan2, perforated_disk, square4
 from sbiga.plate import (
     LoadSpec,
     PlateMaterial,
     Solution,
+    _cond_estimate,
     _uncoupled_stiffness,
     assemble_load,
     assemble_stiffness,
@@ -38,6 +40,9 @@ from sbiga.plate import (
 )
 from sbiga.splines import KnotVector
 from sbiga.stabilize import build_combined_space
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +278,77 @@ class TestSolverPivoting:
             lu1 = _solver_lu(monkeypatch, A1, f1)
             assert (lu.L.nnz + lu.U.nnz) / A1.nnz < max_fill
             assert lu.L.nnz + lu.U.nnz <= lu1.L.nnz + lu1.U.nnz
+
+
+@functools.lru_cache(maxsize=None)
+def _config_systems(path):
+    """(A, f) of every study level of a case config, as ``sbiga run``
+    assembles them."""
+    cfg = CaseConfig.from_file(str(ROOT / path))
+    base, info = cfg.build_base_domain()
+    loads = cfg.load_spec(info)
+    out = []
+    for s in cfg.segments:
+        cs = cfg.build_space(base, s)
+        out.append((sp.csc_matrix(assemble_stiffness(cs, cfg.material, quad=cfg.quad_order)),
+                    assemble_load(cs, loads, quad=cfg.quad_order)))
+    return out
+
+
+class TestSolverOracle:
+    """``solve`` against SuperLU at its default supernode settings (relax
+    and panel_size not given) with the same ordering, pivots and one
+    refinement step."""
+
+    @pytest.mark.parametrize("systems", [
+        lambda: _config_systems("configs/square_smooth.json"),
+        lambda: _config_systems("configs/l_bracket.json"),
+        lambda: [_plate_system(5, 8, stabilized=True)],
+    ], ids=["square_smooth", "l_bracket", "stab-p5-s8"])
+    def test_matches_default_superlu(self, systems):
+        for A, f in systems():
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+            ref = lu.solve(f)
+            ref = ref + lu.solve(f - A @ ref)
+            x, _, _ = solve(A, f, cond=False)
+            assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+class _CountingLU:
+    """An LU proxy that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, b, trans="N"):
+        self.solves += 1
+        return self.lu.solve(b, trans=trans)
+
+
+class TestCondEstimate:
+    """The 1-norm estimate against the dense condition number on the
+    levels of the benchmark's square studies with n <= 3400."""
+
+    @pytest.mark.parametrize("case", [
+        dict(p=3, s=4), dict(p=3, s=6), dict(p=3, s=8), dict(p=3, s=12),
+        dict(p=4, s=4), dict(p=4, s=6), dict(p=4, s=8),
+        dict(p=3, s=4, point_load=True), dict(p=3, s=10, point_load=True),
+        dict(p=5, s=8, stabilized=True),
+    ], ids=lambda c: "-".join(k if v is True else "%s%s" % (k, v) for k, v in c.items()))
+    def test_lower_bound_within_three(self, monkeypatch, case):
+        A, f = _plate_system(**case)
+        lu = _CountingLU(_solver_lu(monkeypatch, A, f))
+        est = _cond_estimate(A, lu)
+        kappa = np.linalg.cond(A.toarray(), 1)
+        # both carry roundoff of relative size about kappa * eps
+        assert kappa / 3.0 <= est <= kappa * (1.0 + kappa * np.finfo(float).eps)
+        assert lu.solves <= 11
+
+    def test_repeatable(self):
+        A, f = _plate_system(4, 8)
+        assert solve(A, f)[2] == solve(A, f)[2]
 
 
 class TestEvaluate:

@@ -11,6 +11,7 @@ from reference_kernels import (
     assert_same_m0,
     assert_same_topology,
     ders_basis_ratio,
+    interfaces_pairwise,
     refine_to_segments_per_knot,
     with_segments_detected,
 )
@@ -124,6 +125,13 @@ def test_model_topology_carried_over(name):
     built = _BUILDERS[name](degree=3)
     base = built[0] if isinstance(built, tuple) else built
     assert_same_topology(base.with_segments(3, 2, 1), with_segments_detected(base, 3, 2, 1))
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_model_interfaces_match_pairwise_search(name):
+    built = _BUILDERS[name](degree=3)
+    base = built[0] if isinstance(built, tuple) else built
+    assert [(i.kind, i.left, i.right) for i in base.interfaces] == interfaces_pairwise(base)
 
 
 def test_example_spaces_m0_bitwise(example_spaces):
