@@ -1,5 +1,7 @@
-"""Command-line front: run, verify, converge, export.
+"""Command-line front: run, verify, export.
 
+``run`` solves the configured study and writes its CSV; ``--segments``
+replaces the config's ``study.segments`` for one run.
 Exit codes: 0 success, 2 config/schema errors, 1 any other failure.
 A run repeats bitwise, also across BLAS thread counts (1 and 2 threads
 give the same CSV on the bundled configs): the null-space basis comes from
@@ -12,7 +14,7 @@ import argparse
 import sys
 
 from .errors import SbigaError
-from .harness import CaseConfig, run_case, verify_case, export_case
+from .harness import CaseConfig, convergence_table, run_case, verify_case, export_case
 
 
 def make_parser():
@@ -20,7 +22,6 @@ def make_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for name, hlp in (
         ("run", "run the configured study and write CSV"),
-        ("converge", "run with an explicit refinement list"),
         ("verify", "geometry/space verification checks"),
         ("export", "solve and export fields (legacy VTK)"),
     ):
@@ -28,9 +29,8 @@ def make_parser():
         p.add_argument("config", help="path to a JSON case config")
         if name == "run":
             p.add_argument("--csv", default=None)
-        if name == "converge":
-            p.add_argument("--segments", type=int, nargs="+", required=True)
-            p.add_argument("--csv", default=None)
+            p.add_argument("--segments", type=int, nargs="+",
+                           help="refinement levels in place of study.segments")
         if name == "verify":
             p.add_argument(
                 "--checks", default="all",
@@ -45,9 +45,9 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfg = CaseConfig.from_file(args.config)
-        if args.command in ("run", "converge"):
-            if args.command == "converge":
-                cfg.segments = list(args.segments)
+        if args.command == "run":
+            if args.segments:
+                cfg.segments = args.segments
             rows, _ = run_case(
                 cfg,
                 csv_path=args.csv,
@@ -55,19 +55,11 @@ def main(argv=None):
                     "h=%-10g N6=%-8d center=%r" % (row.h, row.N6, row.center_deflection)
                 ),
             )
-            from .harness import convergence_table
-
-            for entry in convergence_table(rows):
-                if entry["h2_semi"] is not None:
-                    print(
-                        "h=%-10g H2=%-12.5g (order %s)  L2=%-12.5g (order %s)"
-                        % (
-                            entry["h"], entry["h2_semi"],
-                            "-" if entry["h2_semi_order"] is None else "%.2f" % entry["h2_semi_order"],
-                            entry["l2"],
-                            "-" if entry["l2_order"] is None else "%.2f" % entry["l2_order"],
-                        )
-                    )
+            order = lambda v: "-" if v is None else "%.2f" % v
+            for e in convergence_table(rows):
+                if e["h2_semi"] is not None:
+                    print("h=%-10g H2=%-12.5g (order %s)  L2=%-12.5g (order %s)" % (
+                        e["h"], e["h2_semi"], order(e["h2_semi_order"]), e["l2"], order(e["l2_order"])))
             return 0
         if args.command == "verify":
             ok, lines = verify_case(cfg, args.checks.split(","))
@@ -75,9 +67,8 @@ def main(argv=None):
                 print("%-12s %-40s %.3e (tol %.0e) %s" % (kind, what, val, tol, "ok" if good else "FAIL"))
             return 0 if ok else 1
         if args.command == "export":
-            paths = export_case(cfg, args.out)
-            for p in paths:
-                print(p)
+            for path in export_case(cfg, args.out):
+                print(path)
             return 0
     except SbigaError as exc:
         if exc.tag == "config-error":

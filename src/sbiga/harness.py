@@ -10,17 +10,18 @@ A case config is a single JSON document:
   "bcs": {"all": "clamped"},                            # or per_patch / groups
   "loads": {"surface": "from_exact",                    # | {"const": v} | {"expr": "..."}
             "point": [{"at": [0, 0], "F": 1.0}],
-            "edges": [{"group": "load_edges", "Q": 100.0}]},
+            "edges": [{"group": "load_edges", "Q": 100.0}]},  # patch | group; Q and/or M
   "exact": {"builtin": "cos2_square"},
   "reference": {"builtin": "point_load_series", "terms": 4001},  # or {"value": v}
   "study": {"segments": [4, 8]},
-  "outputs": {"csv": "out.csv", "fields": null, "sample_grid": [9, 9],
-              "eval_point": [0, 0]}
+  "outputs": {"csv": "out.csv", "sample_grid": [9, 9], "eval_point": [0, 0]}
 }
 
-Sections with a fixed key set reject unknown keys, and malformed values
-raise a ConfigError, with a message that names the key's path (e.g.
-``study.segmentz``).
+geometry.params takes the keyword arguments of the builder other than
+degree and bc.  Counts (segments, quad_order, fine_segments, terms,
+sample_grid), tol_null and the material's E, t and D must be > 0.  Unknown
+keys and malformed values raise a ConfigError whose message names the key's
+path (e.g. ``study.segmentz``).
 """
 
 import ast
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import models
 from .coupling import build_coupled_space, verify_asg1, asg1_coefficients, c1_jump_report, reproduction_vector
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .geometry import ESSENTIAL_LAYERS, apply_bc_tags, locate_point
 from .trim import assemble_trimmed_domain
 from .plate import (
@@ -101,64 +102,58 @@ def write_csv(rows, path):
             fh.write(",".join(_fmt(v) for v in row.as_list()) + "\n")
 
 
-# Allowed keys of every section with a fixed key set; maps keyed by user
-# names (bcs.groups, bcs.per_patch) are not checked here, and the keys of
-# geometry.params are checked against the builder's signature.
-_SECTION_KEYS = {
-    "": {"description", "geometry", "discretization", "material", "bcs", "loads",
-         "exact", "reference", "study", "outputs"},
-    "geometry": {"builtin", "params"},
-    "discretization": {"p", "r", "quad_order", "tol_null", "stabilize"},
-    "discretization.stabilize": {"enabled", "fine_segments"},
-    "material": {"E", "nu", "t", "D"},
-    "bcs": {"all", "per_patch", "groups"},
-    "loads": {"surface", "point", "edges"},
-    "loads.point": {"at", "F"},
-    "loads.edges": {"patch", "group", "Q", "M"},
-    "exact": {"builtin"},
-    "reference": {"value", "builtin", "F", "L", "terms"},
-    "study": {"segments"},
-    "outputs": {"csv", "fields", "sample_grid", "eval_point"},
-}
+def _section(value, path, allowed, required=False):
+    """The object at ``path``, with keys from ``allowed`` (any key when None);
+    null or, unless required, absent reads as empty.  A ConfigError names
+    the path of a missing or non-object section or of an unknown key."""
+    if value is None and not required:
+        return {}
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise ConfigError("%s %s" % (where, "is required" if value is None else "must be an object"))
+    unknown = sorted(set(value) - allowed) if allowed is not None else []
+    if unknown:
+        key = "%s.%s" % (path, unknown[0]) if path else unknown[0]
+        raise ConfigError("unknown config key %r; %s takes %s" % (key, where, ", ".join(sorted(allowed))))
+    return value
 
 
-_LIST_SECTIONS = {"loads.point", "loads.edges"}
+def _entries(section, key, path, allowed):
+    """The list of objects ``section[key]`` (empty when null or absent),
+    each checked by _section."""
+    path = "%s.%s" % (path, key)
+    val = section.get(key)
+    if val is None:
+        return []
+    if not isinstance(val, list):
+        raise ConfigError("%s must be a list of objects" % path)
+    return [_section(e, "%s[%d]" % (path, k), allowed, required=True) for k, e in enumerate(val)]
 
 
-def _check_keys(sec, name="", path=""):
-    """Raise ConfigError naming the path of the first unknown key or of a
-    section that is not an object (a list of objects in _LIST_SECTIONS);
-    a null section counts as empty."""
-    for key in sorted(sec):
-        if key not in _SECTION_KEYS[name]:
-            raise ConfigError("unknown config key %r" % (path + key), tag="config-error")
-        child, val = (name + "." + key).lstrip("."), sec[key]
-        if child not in _SECTION_KEYS or val is None:
-            continue
-        if child in _LIST_SECTIONS:
-            if not (isinstance(val, list) and all(isinstance(e, dict) for e in val)):
-                raise ConfigError("%s must be a list of objects" % (path + key), tag="config-error")
-            for k, entry in enumerate(val):
-                _check_keys(entry, child, "%s%s[%d]." % (path, key, k))
-        elif not isinstance(val, dict):
-            raise ConfigError("%s must be an object" % (path + key), tag="config-error")
-        else:
-            _check_keys(val, child, path + key + ".")
-
-
-def _number(val, path, kind=int):
-    """kind(val), or a ConfigError naming ``path``."""
+def _number(val, path, kind=int, positive=False):
+    """kind(val), or a ConfigError naming ``path``; with ``positive`` the
+    value must be > 0."""
     try:
-        return kind(val)
+        num = kind(val)
     except (TypeError, ValueError):
-        raise ConfigError("%s must be a number, got %r" % (path, val), tag="config-error") from None
+        raise ConfigError("%s must be a number, got %r" % (path, val)) from None
+    if positive and not num > 0:
+        raise ConfigError("%s must be > 0, got %r" % (path, val))
+    return num
 
 
-def _point(val, path):
-    """[x, y] as floats, or a ConfigError naming ``path``."""
+def _pair(val, path, kind=float, positive=False):
+    """[a, b] of _number values, or a ConfigError naming ``path``."""
     if not isinstance(val, (list, tuple)) or len(val) != 2:
-        raise ConfigError("%s must be a list [x, y], got %r" % (path, val), tag="config-error")
-    return [_number(v, "%s[%d]" % (path, k), float) for k, v in enumerate(val)]
+        raise ConfigError("%s must be a list of two numbers, got %r" % (path, val))
+    return [_number(v, "%s[%d]" % (path, k), kind, positive) for k, v in enumerate(val)]
+
+
+def _choice(val, path, choices):
+    """val if it is one of the names ``choices``, else a ConfigError."""
+    if isinstance(val, str) and val in choices:
+        return val
+    raise ConfigError("%s must be one of %s, got %r" % (path, ", ".join(sorted(choices)), val))
 
 
 _EXPR_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: np.pi}
@@ -190,16 +185,16 @@ def load_expression(text):
     point.
     """
     if not isinstance(text, str):
-        raise ConfigError("loads.surface.expr must be a string", tag="config-error")
+        raise ConfigError("loads.surface.expr must be a string")
     try:
         tree = ast.parse(text, mode="eval")
     except (SyntaxError, ValueError) as exc:
-        raise ConfigError("loads.surface.expr does not parse: %s" % exc, tag="config-error")
+        raise ConfigError("loads.surface.expr does not parse: %s" % exc)
     g = _expr_node(tree.body, text)
     try:
         g(np.float64(0.5), np.float64(0.5))
     except (OverflowError, ZeroDivisionError) as exc:
-        raise ConfigError("loads.surface.expr %r: %s" % (text, exc), tag="config-error")
+        raise ConfigError("loads.surface.expr %r: %s" % (text, exc))
     return g
 
 
@@ -221,154 +216,164 @@ def _expr_node(node, text):
         fn, a = _EXPR_FUNCS[node.func.id], _expr_node(node.args[0], text)
         return lambda x, y: fn(a(x, y))
     raise ConfigError(
-        "loads.surface.expr %r: %r is not allowed" % (text, ast.get_source_segment(text, node)),
-        tag="config-error",
+        "loads.surface.expr %r: %r is not allowed" % (text, ast.get_source_segment(text, node))
     )
 
 
 class CaseConfig:
-    """Validated case description; raises ConfigError with a path hint."""
+    """Validated case description.  Every config value is read, checked and
+    converted here; a malformed one raises a ConfigError naming its path."""
 
     def __init__(self, doc):
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object", tag="config-error")
-        _check_keys(doc)
-        self.doc = doc
-        geo = self._get("geometry", dict)
-        if "builtin" not in geo:
-            raise ConfigError("geometry.builtin is required", tag="config-error")
-        if geo["builtin"] not in _GEOMETRY_BUILDERS:
-            raise ConfigError("unknown geometry %r" % geo["builtin"], tag="config-error")
-        self.geometry_params = geo.get("params") or {}
-        if not isinstance(self.geometry_params, dict):
-            raise ConfigError("geometry.params must be an object", tag="config-error")
-        known = set(inspect.signature(_GEOMETRY_BUILDERS[geo["builtin"]]).parameters) - {"degree"}
-        unknown = sorted(set(self.geometry_params) - known)
-        if unknown:
-            raise ConfigError(
-                "unknown config key 'geometry.params.%s'; %s takes %s"
-                % (unknown[0], geo["builtin"], ", ".join(sorted(known))), tag="config-error",
-            )
-        dis = self._get("discretization", dict)
+        doc = _section(doc, "", {"description", "geometry", "discretization", "material", "bcs",
+                                 "loads", "exact", "reference", "study", "outputs"}, required=True)
+        geo = _section(doc.get("geometry"), "geometry", {"builtin", "params"}, required=True)
+        self.geometry_name = _choice(geo.get("builtin"), "geometry.builtin", _GEOMETRY_BUILDERS)
+        # boundary conditions are set by bcs alone, not by a builder's bc argument
+        known = set(inspect.signature(_GEOMETRY_BUILDERS[self.geometry_name]).parameters) - {"degree", "bc"}
+        self.geometry_params = _section(geo.get("params"), "geometry.params", known)
+
+        dis = _section(doc.get("discretization"), "discretization",
+                       {"p", "r", "quad_order", "tol_null", "stabilize"}, required=True)
         self.p = _number(dis.get("p", 3), "discretization.p")
         self.r = _number(dis.get("r", 1), "discretization.r")
         if not 0 <= self.r <= self.p - 1:
-            raise ConfigError("discretization.r must satisfy 0 <= r <= p-1", tag="config-error")
-        self.quad_order = dis.get("quad_order")
-        if self.quad_order is not None:
-            self.quad_order = _number(self.quad_order, "discretization.quad_order")
-        self.tol_null = _number(dis.get("tol_null", 1e-10), "discretization.tol_null", float)
-        st = dis.get("stabilize", {}) or {}
-        self.stabilize = bool(st.get("enabled", False))
-        self.stabilize_fine = st.get("fine_segments")
-        if self.stabilize_fine is not None:
-            self.stabilize_fine = _number(self.stabilize_fine, "discretization.stabilize.fine_segments")
-        mat = self._get("material", dict)
+            raise ConfigError("discretization.r must satisfy 0 <= r <= p-1")
+        quad = dis.get("quad_order")
+        self.quad_order = None if quad is None else _number(quad, "discretization.quad_order", positive=True)
+        self.tol_null = _number(dis.get("tol_null", 1e-10), "discretization.tol_null", float, positive=True)
+        st = _section(dis.get("stabilize"), "discretization.stabilize", {"enabled", "fine_segments"})
+        self.stabilize = st.get("enabled", False)
+        if not isinstance(self.stabilize, bool):
+            raise ConfigError("discretization.stabilize.enabled must be true or false")
+        fine = st.get("fine_segments")
+        self.stabilize_fine = (None if fine is None else
+                               _number(fine, "discretization.stabilize.fine_segments", positive=True))
+
+        mat = _section(doc.get("material"), "material", {"E", "nu", "t", "D"}, required=True)
         if ("t" in mat) == ("D" in mat):
-            raise ConfigError("material needs exactly one of t or D", tag="config-error")
-        num = {k: _number(v, "material." + k, float) for k, v in mat.items()}
+            raise ConfigError("material needs exactly one of t or D")
+        num = {k: _number(v, "material." + k, float, positive=k != "nu") for k, v in mat.items()}
         if not 0.0 <= num.get("nu", 0.0) < 0.5:
-            raise ConfigError("material.nu must lie in [0, 0.5)", tag="config-error")
-        self.material = PlateMaterial(
-            num.get("E", 1.0), num.get("nu", 0.0), t=num.get("t"), D=num.get("D")
-        )
-        self.bcs = doc.get("bcs", {}) or {}
-        for tag in self._bc_tags(self.bcs):
-            if tag not in ESSENTIAL_LAYERS:
-                raise ConfigError("unknown bc tag %r" % tag, tag="config-error")
-        self.loads = doc.get("loads", {}) or {}
+            raise ConfigError("material.nu must lie in [0, 0.5)")
+        self.material = PlateMaterial(num.get("E", 1.0), num.get("nu", 0.0), t=num.get("t"), D=num.get("D"))
+
+        bcs = _section(doc.get("bcs"), "bcs", {"all", "per_patch", "groups"})
+        self.bc = {}
+        if "all" in bcs:
+            self.bc["all"] = _choice(bcs["all"], "bcs.all", ESSENTIAL_LAYERS)
+        for k, tag in _section(bcs.get("per_patch"), "bcs.per_patch", None).items():
+            path = "bcs.per_patch.%s" % k
+            self.bc[_number(k, path)] = _choice(tag, path, ESSENTIAL_LAYERS)
+        self.bc_groups = {name: _choice(tag, "bcs.groups.%s" % name, ESSENTIAL_LAYERS)
+                          for name, tag in _section(bcs.get("groups"), "bcs.groups", None).items()}
+
+        exact = _section(doc.get("exact"), "exact", {"builtin"}).get("builtin")
+        self.exact_name = None if exact is None else _choice(exact, "exact.builtin", _BUILTIN_EXACT)
+
+        loads = _section(doc.get("loads"), "loads", {"surface", "point", "edges"})
         self.point_loads = []
-        for k, pl in enumerate(self.loads.get("point") or []):
-            if "at" not in pl:
-                raise ConfigError("loads.point[%d].at is required" % k, tag="config-error")
+        for k, pl in enumerate(_entries(loads, "point", "loads", {"at", "F"})):
             path = "loads.point[%d]." % k
             self.point_loads.append(
-                (_point(pl["at"], path + "at"), _number(pl.get("F", 1.0), path + "F", float))
-            )
-        for k, e in enumerate(self.loads.get("edges") or []):
-            for key in ("Q", "M"):
-                if key in e:
-                    _number(e[key], "loads.edges[%d].%s" % (k, key), float)
-        surface = self.loads.get("surface")
-        self.surface_expr = None
-        if isinstance(surface, dict) and "expr" in surface:
-            self.surface_expr = load_expression(surface["expr"])
-        if isinstance(surface, dict) and "const" in surface:
-            _number(surface["const"], "loads.surface.const", float)
-        self.exact_name = (doc.get("exact") or {}).get("builtin")
-        if self.exact_name is not None and self.exact_name not in _BUILTIN_EXACT:
-            raise ConfigError("unknown exact solution %r" % self.exact_name, tag="config-error")
-        self.reference = doc.get("reference")
-        for key, kind in (("value", float), ("F", float), ("L", float), ("terms", int)):
-            if key in (self.reference or {}):
-                _number(self.reference[key], "reference." + key, kind)
-        study = doc.get("study", {}) or {}
-        segments = study.get("segments", [1])
-        if not isinstance(segments, list):
-            raise ConfigError("study.segments must be a list", tag="config-error")
-        self.segments = [_number(s, "study.segments[%d]" % k) for k, s in enumerate(segments)]
-        if any(s < 1 for s in self.segments):
-            raise ConfigError("study.segments must be >= 1", tag="config-error")
-        self.outputs = doc.get("outputs", {}) or {}
-        ep = self.outputs.get("eval_point")
-        self.eval_point = None if ep is None else _point(ep, "outputs.eval_point")
-
-    @staticmethod
-    def _bc_tags(bcs):
-        for key, val in bcs.items():
-            if key in ("groups", "per_patch"):
-                yield from val.values()
+                (_pair(pl.get("at"), path + "at"), _number(pl.get("F", 1.0), path + "F", float)))
+        # (patch index or group name, Q or None, M or None)
+        self.edge_loads = []
+        for k, e in enumerate(_entries(loads, "edges", "loads", {"patch", "group", "Q", "M"})):
+            path = "loads.edges[%d]" % k
+            if (("patch" in e) == ("group" in e) or not {"Q", "M"} & set(e)
+                    or not isinstance(e.get("group", ""), str)):
+                raise ConfigError("%s needs a patch index or a group name, and Q or M" % path)
+            target = _number(e["patch"], path + ".patch") if "patch" in e else e["group"]
+            self.edge_loads.append((target, *(
+                _number(e[key], "%s.%s" % (path, key), float) if key in e else None for key in ("Q", "M"))))
+        surface = loads.get("surface")
+        self.surface = None
+        if surface == "from_exact":
+            if self.exact_name is None:
+                raise ConfigError("loads.surface = from_exact needs exact.builtin")
+            self.surface = manufactured_rhs(self.exact_solution(), self.material.D)
+        elif surface is not None:
+            if not isinstance(surface, dict) or len(surface) != 1:
+                raise ConfigError("loads.surface must be from_exact, {const: v} or {expr: text}, got %r"
+                                  % (surface,))
+            surface = _section(surface, "loads.surface", {"const", "expr"})
+            if "expr" in surface:
+                self.surface = load_expression(surface["expr"])
             else:
-                yield val
+                c = _number(surface["const"], "loads.surface.const", float)
+                self.surface = lambda x, y: np.full_like(np.asarray(x, dtype=float), c)
 
-    def _get(self, key, typ):
-        if key not in self.doc or not isinstance(self.doc[key], typ):
-            raise ConfigError("missing or invalid %r section" % key, tag="config-error")
-        return self.doc[key]
+        # None, a float, or the point-load series, which reference_value sums
+        ref = doc.get("reference")
+        self.reference = None
+        if ref is not None:
+            ref = _section(ref, "reference", {"value", "builtin", "F", "L", "terms"})
+            if "value" in ref:
+                if len(ref) > 1:
+                    raise ConfigError("reference.value takes no other reference key")
+                self.reference = _number(ref["value"], "reference.value", float)
+            else:
+                _choice(ref.get("builtin"), "reference.builtin", {"point_load_series"})
+                self.reference = functools.partial(
+                    point_load_reference, D=self.material.D,
+                    F=_number(ref.get("F", 1.0), "reference.F", float),
+                    L=_number(ref.get("L", 1.0), "reference.L", float),
+                    terms=_number(ref.get("terms", 4001), "reference.terms", positive=True))
+
+        segments = _section(doc.get("study"), "study", {"segments"}).get("segments", [1])
+        if not isinstance(segments, list) or not segments:
+            raise ConfigError("study.segments must be a non-empty list")
+        self.segments = [_number(s, "study.segments[%d]" % k, positive=True) for k, s in enumerate(segments)]
+
+        out = _section(doc.get("outputs"), "outputs", {"csv", "sample_grid", "eval_point"})
+        csv, grid, ep = out.get("csv"), out.get("sample_grid"), out.get("eval_point")
+        if csv is not None and not isinstance(csv, str):
+            raise ConfigError("outputs.csv must be a file path, got %r" % (csv,))
+        self.outputs = {
+            "csv": csv,
+            "sample_grid": [9, 9] if grid is None else _pair(grid, "outputs.sample_grid", int, positive=True),
+            "eval_point": None if ep is None else _pair(ep, "outputs.eval_point"),
+        }
 
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
             try:
-                doc = json.load(fh)
+                return cls(json.load(fh))
             except json.JSONDecodeError as exc:
-                raise ConfigError("config is not valid JSON: %s" % exc, tag="config-error")
-        return cls(doc)
+                raise ConfigError("config is not valid JSON: %s" % exc)
 
     # ------------------------------------------------------------------
 
     def build_base_domain(self):
         """Unrefined domain with BC tags applied; returns (domain, info).
 
-        BC group names and edge-load patch indices are checked against it."""
-        geo = self.doc["geometry"]
-        name = geo["builtin"]
-        built = _GEOMETRY_BUILDERS[name](degree=self.p, **self.geometry_params)
+        BC group names and edge-load targets are checked against it, and a
+        domain the builder rejects is a config error of geometry.params."""
+        try:
+            built = _GEOMETRY_BUILDERS[self.geometry_name](degree=self.p, **self.geometry_params)
+        except GeometryError as exc:
+            raise ConfigError("geometry.params of %s: %s" % (self.geometry_name, exc)) from exc
         domain, info = built if isinstance(built, tuple) else (built, {})
-        bc = {}
-        if "all" in self.bcs:
-            bc["all"] = self.bcs["all"]
-        for k, v in (self.bcs.get("per_patch") or {}).items():
-            bc[_number(k, "bcs.per_patch")] = v
-        for gname, tag in (self.bcs.get("groups") or {}).items():
-            if gname not in info:
-                raise ConfigError(
-                    "unknown bcs.groups name %r; %s defines %s"
-                    % (gname, name, ", ".join(map(repr, sorted(info))) or "no groups"),
-                    tag="config-error",
-                )
-            for k in info[gname]:
-                bc[int(k)] = tag
+        bc = dict(self.bc)
+        for name, tag in self.bc_groups.items():
+            bc.update((int(k), tag) for k in self._group(info, name, "bcs.groups"))
         if bc:
             apply_bc_tags(domain, bc)
         npatches = len(domain.patches)
-        for k, e in enumerate(self.loads.get("edges") or []):
-            if "patch" in e and not 0 <= _number(e["patch"], "loads.edges[%d].patch" % k) < npatches:
-                raise ConfigError(
-                    "loads.edges patch %d is not in 0..%d" % (int(e["patch"]), npatches - 1),
-                    tag="config-error",
-                )
+        for k, (target, _, _) in enumerate(self.edge_loads):
+            if isinstance(target, str):
+                self._group(info, target, "loads.edges[%d].group" % k)
+            elif not 0 <= target < npatches:
+                raise ConfigError("loads.edges[%d].patch %d is not in 0..%d" % (k, target, npatches - 1))
         return domain, info
+
+    def _group(self, info, name, path):
+        if name not in info:
+            raise ConfigError("unknown %s name %r; %s defines %s" % (
+                path, name, self.geometry_name, ", ".join(map(repr, sorted(info))) or "no groups"))
+        return info[name]
 
     def build_space(self, base_domain, segments):
         if self.stabilize:
@@ -381,46 +386,18 @@ class CaseConfig:
         return _BUILTIN_EXACT[self.exact_name]() if self.exact_name else None
 
     def load_spec(self, info):
-        surface = None
-        src = self.loads.get("surface")
-        if src == "from_exact":
-            exact = self.exact_solution()
-            if exact is None:
-                raise ConfigError("loads.surface = from_exact needs exact", tag="config-error")
-            surface = manufactured_rhs(exact, self.material.D)
-        elif isinstance(src, dict) and "const" in src:
-            c = float(src["const"])
-            surface = lambda x, y: np.full_like(np.asarray(x, dtype=float), c)
-        elif self.surface_expr is not None:
-            surface = self.surface_expr
-        elif src is not None:
-            raise ConfigError("unrecognized loads.surface", tag="config-error")
+        """Loads on the domain whose groups are ``info``."""
         edge_loads, edge_moments = [], []
-        for e in self.loads.get("edges", []):
-            targets = [int(e["patch"])] if "patch" in e else list(info.get(e.get("group"), []))
-            if not targets:
-                raise ConfigError("edge load names no patch", tag="config-error")
-            for t in targets:
-                if "Q" in e:
-                    edge_loads.append((t, float(e["Q"])))
-                if "M" in e:
-                    edge_moments.append((t, float(e["M"])))
-        return LoadSpec(surface, edge_loads, edge_moments, self.point_loads)
+        for target, Q, M in self.edge_loads:
+            for t in info[target] if isinstance(target, str) else [target]:
+                if Q is not None:
+                    edge_loads.append((t, Q))
+                if M is not None:
+                    edge_moments.append((t, M))
+        return LoadSpec(self.surface, edge_loads, edge_moments, self.point_loads)
 
     def reference_value(self):
-        ref = self.reference
-        if ref is None:
-            return None
-        if "value" in ref:
-            return float(ref["value"])
-        if ref.get("builtin") == "point_load_series":
-            return point_load_reference(
-                F=ref.get("F", 1.0),
-                L=ref.get("L", 1.0),
-                D=self.material.D,
-                terms=int(ref.get("terms", 4001)),
-            )
-        raise ConfigError("unrecognized reference", tag="config-error")
+        return self.reference() if callable(self.reference) else self.reference
 
 
 def run_case(cfg, csv_path=None, progress=None):
@@ -440,7 +417,8 @@ def run_case(cfg, csv_path=None, progress=None):
         if exact is not None:
             rep = error_norms(solution, exact, quad=quad)
             h2, l2 = rep.h2_semi, rep.l2
-        xy = np.asarray(cfg.eval_point if cfg.eval_point is not None else cs.domain.groups[0].x0)
+        ep = cfg.outputs["eval_point"]
+        xy = np.asarray(ep if ep is not None else cs.domain.groups[0].x0)
         m, z, x = locate_point(cs.domain, xy)
         center = float(evaluate(solution, [(m, z, x)], nders=0)[0])
         row = ResultRow(
@@ -453,7 +431,7 @@ def run_case(cfg, csv_path=None, progress=None):
         rows.append(row)
         if progress:
             progress(row)
-    path = csv_path or cfg.outputs.get("csv")
+    path = csv_path or cfg.outputs["csv"]
     if path:
         write_csv(rows, path)
     return rows, solution
@@ -482,7 +460,7 @@ def verify_case(cfg, checks=("all",)):
     if unknown:
         raise ConfigError(
             "unknown checks %s; choose from asg1, c1-jump, reproduction, all"
-            % ", ".join(map(repr, sorted(unknown))), tag="config-error",
+            % ", ".join(map(repr, sorted(unknown))),
         )
     if "all" in checks:
         checks = {"asg1", "c1-jump", "reproduction"}
@@ -537,5 +515,4 @@ def export_case(cfg, out_path):
     from .vtkio import export_field
 
     rows, solution = run_case(cfg)
-    grid = cfg.outputs.get("sample_grid", [9, 9])
-    return export_field(solution, grid, out_path)
+    return export_field(solution, cfg.outputs["sample_grid"], out_path)

@@ -86,6 +86,9 @@ class TestCaseConfig:
         cfg = CaseConfig.from_file(write_cfg(tmp_path, doc))
         _, info = cfg.build_base_domain()
         assert cfg.load_spec(info).edge_loads == [(3, 1.0)]
+        doc = dict(SMOOTH, loads={"edges": [{"group": "load_edges", "M": 1.0}]})
+        with pytest.raises(ConfigError, match=r"loads.edges\[0\].group name 'load_edges'.*no groups"):
+            CaseConfig(doc).build_base_domain()
 
     @pytest.mark.parametrize("expr", [
         "().__class__.__mro__",
@@ -117,11 +120,53 @@ class TestCaseConfig:
         assert np.array_equal(g(x, y), ref)
 
     def test_bundled_configs_load(self):
+        # what each bundled config yields: p, segments, D, nu, the outer-edge
+        # patches of each boundary tag, the edge and point loads, the
+        # surface load at (0.1, 0.2), the reference value and eval_point
+        square = {"clamped": [0, 1, 2, 3]}
+        pointload = (3, [4, 6, 8, 10], 1.0, 0.0, {"simply_supported": [0, 1, 2, 3]}, [],
+                     [([0.0, 0.0], 1.0)], None, 0.011600839360252647, [0.0, 0.0])
+        disk = (3, [2, 3, 4], 7.3260073260073275, 0.3,
+                {"free": list(range(0, 64, 4)), "simply_supported": [72, 76, 82, 86, 92, 96, 102, 106]},
+                [], [], 1.0, 0.00895, [0.0, 0.0])
+        cos2 = 825.2630624929991
+        expected = {
+            "configs/l_bracket.json": (
+                3, [2], 16666.666666666668, 0.0,
+                {"clamped": [0, 4, 8, 12, 32, 36, 40, 44],
+                 "free": [16, 20, 52, 56, 60, 64, 66, 68, 70, 73, 75, 77, 78, 79]},
+                [(78, 100.0)], [], None, None, [3.0, 0.5]),
+            "configs/perforated_disk.json": disk,
+            "configs/square_pointload.json": pointload,
+            "configs/square_smooth.json": (3, [4, 6, 8, 12, 16], 1.0, 0.0, square, [], [], cos2, None, None),
+            "perfbench/configs/perforated_disk_s2.json": (3, [2]) + disk[2:8] + (None, [0.0, 0.0]),
+            "perfbench/configs/square_pointload_p3.json": (3, [4, 10]) + pointload[2:8] + (None, [0.0, 0.0]),
+            "perfbench/configs/square_smooth_p3.json": (3, [4, 6, 8, 12, 16], 1.0, 0.0, square, [], [], cos2, None, None),
+            "perfbench/configs/square_smooth_p4.json": (4, [4, 6, 8, 12, 16], 1.0, 0.0, square, [], [], cos2, None, None),
+            "perfbench/configs/square_stabilized_p5.json": (5, [8, 16], 1.0, 0.0, square, [], [], cos2, None, None),
+        }
         root = pathlib.Path(__file__).resolve().parents[1]
         paths = sorted(root.glob("configs/*.json")) + sorted(root.glob("perfbench/configs/*.json"))
-        assert paths
+        assert sorted(str(path.relative_to(root)) for path in paths) == sorted(expected)
         for path in paths:
-            CaseConfig.from_file(str(path))
+            p, segments, D, nu, tags, edges, points, surface, ref, ep = expected[str(path.relative_to(root))]
+            cfg = CaseConfig.from_file(str(path))
+            assert (cfg.p, cfg.r, cfg.segments) == (p, 1, segments)
+            assert (cfg.material.D, cfg.material.nu) == (D, nu)
+            domain, info = cfg.build_base_domain()
+            got = {}
+            for be in domain.boundary:
+                got.setdefault(be.tag, []).append(be.patch)
+            assert {tag: sorted(v) for tag, v in got.items()} == tags
+            loads = cfg.load_spec(info)
+            assert (loads.edge_loads, loads.edge_moments) == (edges, [])
+            assert [(x.tolist(), F) for x, F in loads.point_loads] == points
+            if surface is None:
+                assert loads.surface is None
+            else:
+                assert float(loads.surface(np.float64(0.1), np.float64(0.2))) == pytest.approx(surface, rel=1e-14)
+            assert cfg.reference_value() == (None if ref is None else pytest.approx(ref, rel=1e-14))
+            assert cfg.outputs["eval_point"] == ep
 
 
 class TestRunCase:
@@ -180,7 +225,9 @@ class TestCli:
 
     def test_converge_subcommand(self, tmp_path):
         path = write_cfg(tmp_path, SMOOTH)
-        assert cli_main(["converge", path, "--segments", "2", "3"]) == 0
+        csv = tmp_path / "out.csv"
+        assert cli_main(["run", path, "--segments", "2", "3", "--csv", str(csv)]) == 0
+        assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == [repr(1 / 2), repr(1 / 3)]
 
     def test_malformed_bc_exit_code_2(self, tmp_path):
         doc = dict(SMOOTH, bcs={"all": "bolted"})
@@ -227,11 +274,47 @@ class TestCli:
         ({"reference": {"value": "x"}}, "reference.value"),
         ({"reference": {"builtin": "point_load_series", "terms": "x"}}, "reference.terms"),
         ({"outputs": {"eval_point": "x"}}, "outputs.eval_point"),
+        ({"outputs": {"csv": 2}}, "outputs.csv"),
+        ({"outputs": {"csv": True}}, "outputs.csv"),
+        ({"outputs": {"fields": None}}, "outputs.fields"),
+        ({"outputs": {"sample_grid": [9]}}, "outputs.sample_grid"),
+        ({"outputs": {"sample_grid": "ab"}}, "outputs.sample_grid"),
+        ({"geometry": {"builtin": "square4", "params": {"bc": {"all": "clamped"}}}}, "geometry.params.bc"),
+        ({"discretization": {"p": 3, "r": 1, "stabilize": {"enabled": True, "fine_segments": 0}}},
+         "discretization.stabilize.fine_segments"),
+        ({"discretization": {"p": 3, "r": 1, "stabilize": {"enabled": "no"}}}, "discretization.stabilize.enabled"),
+        ({"discretization": {"p": 3, "r": 1, "quad_order": 0}}, "discretization.quad_order"),
+        ({"discretization": {"p": 3, "r": 1, "tol_null": 0.0}}, "discretization.tol_null"),
+        ({"discretization": {"p": 3, "r": 1, "tol_null": -1e-10}}, "discretization.tol_null"),
+        ({"discretization": {"p": None, "r": 1}}, "discretization.p"),
+        ({"material": {"E": 1e4, "nu": 0.0, "D": None}}, "material.D"),
+        ({"material": {"E": 1e4, "nu": 0.0, "D": 0.0}}, "material.D"),
+        ({"material": {"E": -1.0, "nu": 0.0, "t": 0.1}}, "material.E"),
+        ({"loads": {"edges": [{"patch": 0}]}}, r"loads.edges\[0\]"),
+        ({"loads": {"edges": [{"patch": 0, "group": "g", "Q": 1.0}]}}, r"loads.edges\[0\]"),
+        ({"loads": {"surface": {"const": 1.0, "expr": "x"}}}, "loads.surface"),
+        ({"loads": {"surface": "from_exakt"}}, "loads.surface"),
+        ({"reference": {"builtin": "point_load_series", "terms": 0}}, "reference.terms"),
+        ({"reference": {"value": 1.0, "terms": 3}}, "reference.value"),
+        ({"study": {"segments": []}}, "study.segments"),
+        ({"bcs": {"per_patch": ["clamped"]}}, "bcs.per_patch"),
+        ({"exact": {"builtin": ["cos2_square"]}}, "exact.builtin"),
     ])
     def test_malformed_value_exit_code_2(self, tmp_path, change, path):
         doc = dict(SMOOTH, **change)
         with pytest.raises(ConfigError, match=path) as exc:
             CaseConfig(doc)
+        assert exc.value.tag == "config-error"
+        assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("geometry,tag", [
+        ({"builtin": "square_with_hole", "params": {"half_diagonal": 0.49}}, "not-star-shaped"),
+        ({"builtin": "square4", "params": {"offset": [0.9, 0]}}, "topology-error"),
+    ])
+    def test_invalid_geometry_exit_code_2(self, tmp_path, geometry, tag):
+        doc = dict(SMOOTH, geometry=geometry)
+        with pytest.raises(ConfigError, match=r"geometry.params .*\[%s\]" % tag) as exc:
+            CaseConfig(doc).build_base_domain()
         assert exc.value.tag == "config-error"
         assert cli_main(["run", write_cfg(tmp_path, doc)]) == 2
 
@@ -257,6 +340,12 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "asg1" in proc.stdout
+        bad = write_cfg(tmp_path, dict(SMOOTH, outputs={"csv": 2}), "bad.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sbiga", "run", bad], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "outputs.csv" in proc.stderr
 
     def test_export_subcommand(self, tmp_path):
         doc = dict(SMOOTH, study={"segments": [2]})
