@@ -1,7 +1,7 @@
 """Command-line front: run, verify, export.
 
 ``run`` solves the configured study and writes its CSV; ``--segments``
-replaces the config's ``study.segments`` for one run.
+replaces the config's ``study.segments`` for one run and is checked like it.
 Exit codes: 0 success, 2 config/schema errors, 1 any other failure.
 A run repeats bitwise, also across BLAS thread counts (1 and 2 threads
 give the same CSV on the bundled configs): the null-space basis comes from
@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import SbigaError
-from .harness import CaseConfig, convergence_table, run_case, verify_case, export_case
+from .harness import CaseConfig, convergence_table, run_case, segment_list, verify_case, export_case
 
 
 def make_parser():
@@ -47,7 +47,7 @@ def main(argv=None):
         cfg = CaseConfig.from_file(args.config)
         if args.command == "run":
             if args.segments:
-                cfg.segments = args.segments
+                cfg.segments = segment_list(args.segments, "--segments")
             rows, _ = run_case(
                 cfg,
                 csv_path=args.csv,

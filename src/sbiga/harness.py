@@ -149,6 +149,13 @@ def _pair(val, path, kind=float, positive=False):
     return [_number(v, "%s[%d]" % (path, k), kind, positive) for k, v in enumerate(val)]
 
 
+def segment_list(val, path):
+    """Refinement levels, a non-empty list of counts > 0; else a ConfigError naming ``path``."""
+    if not isinstance(val, list) or not val:
+        raise ConfigError("%s must be a non-empty list" % path)
+    return [_number(s, "%s[%d]" % (path, k), positive=True) for k, s in enumerate(val)]
+
+
 def _choice(val, path, choices):
     """val if it is one of the names ``choices``, else a ConfigError."""
     if isinstance(val, str) and val in choices:
@@ -229,9 +236,13 @@ class CaseConfig:
                                  "loads", "exact", "reference", "study", "outputs"}, required=True)
         geo = _section(doc.get("geometry"), "geometry", {"builtin", "params"}, required=True)
         self.geometry_name = _choice(geo.get("builtin"), "geometry.builtin", _GEOMETRY_BUILDERS)
-        # boundary conditions are set by bcs alone, not by a builder's bc argument
-        known = set(inspect.signature(_GEOMETRY_BUILDERS[self.geometry_name]).parameters) - {"degree", "bc"}
-        self.geometry_params = _section(geo.get("params"), "geometry.params", known)
+        # boundary conditions are set by bcs alone, not by a builder's bc
+        # argument; a value is a number or a pair, as the builder's default
+        known = {k: v.default for k, v in inspect.signature(_GEOMETRY_BUILDERS[self.geometry_name])
+                 .parameters.items() if k not in ("degree", "bc")}
+        self.geometry_params = {
+            k: (_pair if isinstance(known[k], tuple) else _number)(v, "geometry.params." + k, float)
+            for k, v in _section(geo.get("params"), "geometry.params", set(known)).items()}
 
         dis = _section(doc.get("discretization"), "discretization",
                        {"p", "r", "quad_order", "tol_null", "stabilize"}, required=True)
@@ -321,10 +332,8 @@ class CaseConfig:
                     L=_number(ref.get("L", 1.0), "reference.L", float),
                     terms=_number(ref.get("terms", 4001), "reference.terms", positive=True))
 
-        segments = _section(doc.get("study"), "study", {"segments"}).get("segments", [1])
-        if not isinstance(segments, list) or not segments:
-            raise ConfigError("study.segments must be a non-empty list")
-        self.segments = [_number(s, "study.segments[%d]" % k, positive=True) for k, s in enumerate(segments)]
+        self.segments = segment_list(_section(doc.get("study"), "study", {"segments"}).get("segments", [1]),
+                                     "study.segments")
 
         out = _section(doc.get("outputs"), "outputs", {"csv", "sample_grid", "eval_point"})
         csv, grid, ep = out.get("csv"), out.get("sample_grid"), out.get("eval_point")

@@ -190,9 +190,9 @@ def assemble_load(cspace, loads, quad=None):
     """Coupled load vector f = M1^T (M0^T ftilde), point loads included in
     ftilde; the same two stages as :func:`assemble_stiffness`.
 
-    The surface term of a block on a row is Zv0 (W Xv0^T): the weights W
-    (S1, nq1, nq2) = w |det J| g are contracted with the radial and then
-    the zeta factor of the basis values, and no per-function table is built.
+    The surface term of a block is one contraction on the patch's Gauss
+    grid, Bz[0]^T W Rx[0], with W = w |det J| g and the dense zeta and radial
+    factors of :meth:`~sbiga.space._PatchTables.block_tables`.
     """
     uspace = cspace.uspace
     domain = cspace.domain
@@ -200,15 +200,12 @@ def assemble_load(cspace, loads, quad=None):
     ftil = np.zeros(cspace.N)
 
     if loads.surface is not None:
-        g = loads.surface
         for m in range(len(domain.patches)):
             tab = uspace.quad_tables(m, nq1, nq2)
-            for s2 in range(tab.S2):
-                geo = tab.row_geometry(s2)
-                w = geo["w"] * np.abs(geo["det"]) * g(geo["px"], geo["py"])
-                W = w.reshape(tab.S1, nq1, nq2)
-                for flat, Zv, Xv in tab.row_blocks(s2):
-                    np.add.at(ftil, flat, Zv[:, 0] @ (W @ Xv[0].T))
+            geo = tab.patch_geometry()
+            W = geo["w"] * np.abs(geo["det"]) * loads.surface(geo["px"], geo["py"])
+            for sl, Bz, Rx in tab.block_tables():
+                ftil[sl] += (Bz[0].T @ W @ Rx[0]).ravel()
 
     for patch_idx, val in loads.edge_loads:
         _edge_functional(uspace, patch_idx, val, ftil, order=0)
@@ -387,28 +384,23 @@ class ErrorReport:
 def error_norms(solution, exact, quad=None):
     """H2 seminorm and L2 norm of u - u_h by Gauss quadrature.
 
-    u_h and its parametric derivatives come from contracting the
-    coefficients with the tensor factors of each row
-    (:meth:`~sbiga.space._PatchTables.row_field`); the pullback maps them
-    to the physical Hessian.
+    u_h and its parametric derivatives come from one contraction of each
+    block's coefficients with its dense zeta and radial factors on the
+    patch's Gauss grid, and one pullback per patch maps them to the
+    physical Hessian (:meth:`~sbiga.space._PatchTables.field`).
     """
     cspace = solution.space
     uspace = cspace.uspace
     ctil = solution.ctil
     nq1, nq2 = _quad_counts(cspace, quad)
-    l2 = 0.0
-    h2 = 0.0
+    l2 = h2 = 0.0
     for m in range(len(cspace.domain.patches)):
-        tab = uspace.quad_tables(m, nq1, nq2)
-        for s2 in range(tab.S2):
-            uh, uh11, uh22, uh12, geo = tab.row_field(s2, ctil)
-            w = geo["w"] * np.abs(geo["det"])
-            ue = exact.value(geo["px"], geo["py"])
-            e11, e22, e12 = exact.hess(geo["px"], geo["py"])
-            l2 += np.sum(w * (uh - ue) ** 2)
-            h2 += np.sum(
-                w * ((uh11 - e11) ** 2 + (uh22 - e22) ** 2 + 2.0 * (uh12 - e12) ** 2)
-            )
+        uh, uh11, uh22, uh12, geo = uspace.quad_tables(m, nq1, nq2).field(ctil)
+        w = geo["w"] * np.abs(geo["det"])
+        ue = exact.value(geo["px"], geo["py"])
+        e11, e22, e12 = exact.hess(geo["px"], geo["py"])
+        l2 += np.sum(w * (uh - ue) ** 2)
+        h2 += np.sum(w * ((uh11 - e11) ** 2 + (uh22 - e22) ** 2 + 2.0 * (uh12 - e12) ** 2))
     return ErrorReport(np.sqrt(h2), np.sqrt(l2))
 
 
@@ -418,10 +410,8 @@ def domain_area(cspace, quad=None):
     nq1, nq2 = _quad_counts(cspace, quad)
     total = 0.0
     for m in range(len(cspace.domain.patches)):
-        tab = uspace.quad_tables(m, nq1, nq2)
-        for s2 in range(tab.S2):
-            geo = tab.row_geometry(s2)
-            total += np.sum(geo["w"] * np.abs(geo["det"]))
+        geo = uspace.quad_tables(m, nq1, nq2).patch_geometry()
+        total += np.sum(geo["w"] * np.abs(geo["det"]))
     return total
 
 

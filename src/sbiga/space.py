@@ -6,23 +6,19 @@ contiguous range of radial indices.  The standard space has one block per
 patch covering all radial indices; the two-mesh stabilized space has a
 coarse block (j <= p) and a fine block (j >= p+1), see :mod:`sbiga.stabilize`.
 
-Every evaluation of the uncoupled basis goes through one path.  The array
-kernels :func:`~sbiga.splines.ders_basis` / ``nurbs_ders_basis`` evaluate
-each block's zeta and radial factors at all parameters of a call at once:
-:meth:`UncoupledSpace.parametric_eval` and
-:meth:`UncoupledSpace.physical_eval` take one point or arrays of points,
-:meth:`UncoupledSpace.quad_tables` whole radial span rows, the batch unit
-of all element loops.  The tables of a patch are built once per Gauss
-order and kept on the space, so stiffness, load and error norms share them.
-A row keeps the basis as its tensor factors: the zeta factor per span and
-the radial factor of the row.  The element stiffness, whose basis index
-stays, expands them to (S1, K, Q) Hessian tables and integrates with
-batched matmuls; the load and the error norms contract the factors with
-one weight or coefficient vector and never form such a table.  Points and
-rows share the geometry kernel :func:`~sbiga.geometry.sb_geometry` and one
-pullback, :func:`_pullback`, which maps parametric derivatives to physical
-gradients and Hessians through the closed-form J^{-1}, of single functions
-and of fields alike, since it is linear in them.
+The array kernels :func:`~sbiga.splines.ders_basis` / ``nurbs_ders_basis``
+evaluate each block's tensor factors B_i(zeta) and R_j(xi): at points in
+:meth:`UncoupledSpace.parametric_eval` / ``physical_eval``, and at the Gauss
+nodes of a patch in :meth:`UncoupledSpace.quad_tables`, built once per Gauss
+order and kept on the space.  The element stiffness, whose basis index
+stays, expands the factors per radial span row to (S1, K, Q) Hessian tables
+and integrates with batched matmuls.  The load and the error norms contract
+one weight or coefficient vector with dense 1D factors over the whole Gauss
+grid of a patch, Bz^T W Rx and Bz C Rx^T (sum factorization), with one
+geometry evaluation and one pullback per patch.  All share the geometry
+kernel :func:`~sbiga.geometry.sb_geometry` and :func:`_pullback`, which maps
+parametric derivatives to physical gradients and Hessians through the
+closed-form J^{-1}; it is linear, so it maps fields as it maps functions.
 """
 
 import numpy as np
@@ -242,27 +238,26 @@ class UncoupledSpace:
                 rows.append((jloc[s * nq2, cols], np.ascontiguousarray(vals)))
             xt.append(rows)
 
-        return _PatchTables(self, m, zs_spans, xi_spans, Znodes, Zw, Xnodes, Xw, geom, zt, xt)
+        return _PatchTables(self, m, Znodes, Zw, Xnodes, Xw, geom, zt, xt)
 
 
 class _PatchTables:
-    """Precomputed Gauss data for one patch; rows are radial spans.
+    """Precomputed Gauss data for one patch.
 
-    A row holds, per block, the zeta factor Zv (S1, 3, kz, nq1) of every
-    zeta span and the radial factor Xv (3, kx, nq2) of the row: the basis
-    on the row is their tensor product.  Arrays (S1, K, Q) of basis
-    functions at quadrature points (Q = nq1*nq2, q = q1*nq2 + q2) are built
-    only where the basis index stays, as in the element stiffness; sums
-    against one coefficient or weight vector contract the factors instead.
+    Per block, zt holds the zeta factor Zv (S1, 3, kz, nq1) of every zeta
+    span and xt the radial factor Xv (3, kx, nq2) of every radial span row
+    (derivative orders 0..2 on the axis of length 3): the basis is their
+    tensor product.  The element stiffness, whose basis index stays,
+    expands them row by row to (S1, K, Q) arrays (Q = nq1*nq2,
+    q = q1*nq2 + q2).  Sums against one coefficient or weight vector use
+    the whole patch grid (S1*nq1, S2*nq2) and dense factors instead.
     """
 
-    def __init__(self, space, m, zs_spans, xi_spans, Znodes, Zw, Xnodes, Xw, geom, zt, xt):
+    def __init__(self, space, m, Znodes, Zw, Xnodes, Xw, geom, zt, xt):
         # the blocks, offsets and patch only: no reference back to the space
         self.blocks = space.blocks[m]
         self.offsets = space.offsets[m]
         self.patch = space.domain.patches[m]
-        self.zs_spans = zs_spans
-        self.xi_spans = xi_spans
         self.Znodes = Znodes
         self.Zw = Zw
         self.Xnodes = Xnodes
@@ -270,25 +265,8 @@ class _PatchTables:
         self.geom = geom
         self.zt = zt
         self.xt = xt
-        self.S1 = len(zs_spans)
-        self.S2 = len(xi_spans)
-        self.nq1 = Znodes.shape[1]
-        self.nq2 = Xnodes.shape[1]
-
-    def row_blocks(self, s2):
-        """Tensor factors of the blocks active on radial span row s2.
-
-        Yields (flat, Zv, Xv): flat indices (S1, kz, kx), the zeta factor
-        (S1, 3, kz, nq1) and the radial factor (3, kx, nq2), with derivative
-        orders 0..2 on the second resp. first axis.
-        """
-        for b, blk in enumerate(self.blocks):
-            jloc, Xv = self.xt[b][s2]
-            if len(jloc) == 0:
-                continue
-            Zidx, Zv = self.zt[b]
-            flat = self.offsets[b] + Zidx[:, :, None] * blk.nj + jloc[None, None, :]
-            yield flat, Zv, Xv
+        self.S1, self.nq1 = Znodes.shape
+        self.S2, self.nq2 = Xnodes.shape
 
     def row_basis(self, s2, names):
         """Stacked element tensors for radial span row s2.
@@ -299,7 +277,11 @@ class _PatchTables:
         """
         S1, Q = self.S1, self.nq1 * self.nq2
         idx, parts = [], {k: [] for k in names}
-        for flat, Zv, Xv in self.row_blocks(s2):
+        for b, blk in enumerate(self.blocks):
+            (Zidx, Zv), (jloc, Xv) = self.zt[b], self.xt[b][s2]
+            if len(jloc) == 0:
+                continue
+            flat = self.offsets[b] + Zidx[:, :, None] * blk.nj + jloc[None, None, :]
             idx.append(flat.reshape(S1, -1))
             for k in names:
                 dz, dx = _DERIVS[k]
@@ -327,24 +309,42 @@ class _PatchTables:
         _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in geo.items()})
         return IDX, H11, H22, H12, geo
 
-    def row_field(self, s2, c):
-        """Value and physical Hessian of the field with flat coefficients c
-        on row s2: returns (u, H11, H22, H12, geo), arrays (S1, Q).
+    def patch_geometry(self):
+        """The :func:`~sbiga.geometry.sb_geometry` dict and the weights w on
+        the whole Gauss grid of the patch, arrays (S1*nq1, S2*nq2)."""
+        q = self.patch.q(self.Xnodes.ravel())
+        geom = [d.reshape(-1, 1, 2) for d in self.geom]
+        geo = sb_geometry(*geom, q, np.full(q.shape, self.patch.c1), self.patch.x0)
+        geo["w"] = np.outer(self.Zw, self.Xw)
+        return geo
 
-        Per block, c[flat] (S1, kz, kx) is contracted with the radial factor
-        (one batched matmul per xi order) and then with the zeta factor (one
-        per derivative); the pullback is linear in the parametric
-        derivatives, so it maps the field's derivatives as it maps each
-        basis function's.
-        """
-        S1 = self.S1
+    def block_tables(self):
+        """Per block, its flat index range sl and its dense zeta and radial
+        factors on the patch grid, Bz (3, S1*nq1, n1) and Rx (3, S2*nq2, nj),
+        derivative orders 0..2 first: yields (sl, Bz, Rx)."""
+        S1, nq1, nq2 = self.S1, self.nq1, self.nq2
+        rows = np.arange(S1 * nq1).reshape(S1, 1, nq1)
+        for b, blk in enumerate(self.blocks):
+            Zidx, Zv = self.zt[b]
+            Bz = np.zeros((3, S1 * nq1, blk.n1))
+            Bz[:, rows, Zidx[:, :, None]] = Zv.transpose(1, 0, 2, 3)
+            Rx = np.zeros((3, self.S2 * nq2, blk.nj))
+            for s2, (jloc, Xv) in enumerate(self.xt[b]):
+                Rx[:, s2 * nq2 : (s2 + 1) * nq2, jloc] = Xv.transpose(0, 2, 1)
+            yield slice(self.offsets[b], self.offsets[b] + blk.size), Bz, Rx
+
+    def field(self, c):
+        """Value and physical Hessian of the field with flat coefficients c
+        on the patch grid: (u, H11, H22, H12, geo), arrays (S1*nq1, S2*nq2).
+        A block with coefficients C (n1, nj) adds Bz[dz] @ (C @ Rx[dx].T) to
+        the parametric derivative of orders (dz, dx)."""
         A = {k: 0.0 for k in _DERIVS}
-        for flat, Zv, Xv in self.row_blocks(s2):
-            cf = c[flat]
-            cX = [cf @ Xv[dx] for dx in range(3)]           # (S1, kz, nq2)
+        for sl, Bz, Rx in self.block_tables():
+            C = c[sl].reshape(Bz.shape[2], Rx.shape[2])
+            CR = [C @ Rx[dx].T for dx in range(3)]
             for k, (dz, dx) in _DERIVS.items():
-                A[k] = A[k] + (Zv[:, dz].transpose(0, 2, 1) @ cX[dx]).reshape(S1, -1)
-        geo = self.row_geometry(s2)
+                A[k] = A[k] + Bz[dz] @ CR[dx]
+        geo = self.patch_geometry()
         _, _, (H11, H22, H12) = _pullback(A, geo)
         return A["V"], H11, H22, H12, geo
 

@@ -197,9 +197,11 @@ class TestOneGeometryKernel:
         tab = uspace.quad_tables(0, 4, 4)
         S1, nq1, nq2 = tab.S1, tab.nq1, tab.nq2
         c = np.random.default_rng(6).standard_normal(uspace.N)
+        patch_field = tab.field(c)[:4]
         for s2 in range(tab.S2):
             IDX, H11, H22, H12, _ = tab.row_physical(s2)
-            field = tab.row_field(s2, c)[:4]
+            # the patch grid's columns s2*nq2 .. (s2+1)*nq2 are row s2
+            field = [f[:, s2 * nq2 : (s2 + 1) * nq2] for f in patch_field]
             # row point q = q1 * nq2 + q2 of zeta span s1
             z = np.repeat(tab.Znodes, nq2, axis=1).ravel()
             x = np.tile(tab.Xnodes[s2], S1 * nq1)

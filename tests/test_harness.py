@@ -229,6 +229,13 @@ class TestCli:
         assert cli_main(["run", path, "--segments", "2", "3", "--csv", str(csv)]) == 0
         assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == [repr(1 / 2), repr(1 / 3)]
 
+    @pytest.mark.parametrize("segments", [["0"], ["2", "-1"]])
+    def test_bad_segments_flag_exit_code_2(self, tmp_path, segments, capsys):
+        # checked like study.segments, before any level is built
+        path = write_cfg(tmp_path, SMOOTH)
+        assert cli_main(["run", path, "--segments", *segments]) == 2
+        assert "--segments[%d] must be > 0" % (len(segments) - 1) in capsys.readouterr().err
+
     def test_malformed_bc_exit_code_2(self, tmp_path):
         doc = dict(SMOOTH, bcs={"all": "bolted"})
         path = write_cfg(tmp_path, doc)
@@ -299,6 +306,8 @@ class TestCli:
         ({"study": {"segments": []}}, "study.segments"),
         ({"bcs": {"per_patch": ["clamped"]}}, "bcs.per_patch"),
         ({"exact": {"builtin": ["cos2_square"]}}, "exact.builtin"),
+        ({"geometry": {"builtin": "square4", "params": {"offset": "x"}}}, "geometry.params.offset"),
+        ({"geometry": {"builtin": "l_bracket", "params": {"hole_r": "a"}}}, "geometry.params.hole_r"),
     ])
     def test_malformed_value_exit_code_2(self, tmp_path, change, path):
         doc = dict(SMOOTH, **change)

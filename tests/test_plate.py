@@ -17,7 +17,7 @@ from sbiga.coupling import (
     reproduction_vector,
 )
 from sbiga.errors import AssemblyError, GeometryError, SolverError
-from sbiga.geometry import NurbsCurve, SBPatch, line_curve, locate_point, make_domain
+from sbiga.geometry import NurbsCurve, SBPatch, circle_arc, line_curve, locate_point, make_domain
 from sbiga.harness import CaseConfig, _reproduction_error
 from sbiga.models import _polyline_loop, fan2, perforated_disk, square4
 from sbiga.plate import (
@@ -562,6 +562,20 @@ class TestKernelOracles:
         ref = _einsum_load(kernel_case, g)
         assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_scaled_patch_matches_einsum(self):
+        # c1 != 1 and c2 > 0: the load and the error norms take the patch's
+        # scaling through their geometry on the whole Gauss grid
+        c = line_curve((0.0, 1.0), (1.0, 1.0), 3)
+        cs = build_coupled_space(make_domain([SBPatch(c, (0.5, 0.0), c1=0.5, c2=0.5)]).with_segments(4, 4, 1))
+        g = lambda x, y: np.sin(3.0 * x) + y**2 + 0.5
+        ref = _einsum_load(cs, g)
+        assert np.max(np.abs(assemble_load(cs, LoadSpec(surface=g)) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        sol = Solution(cs, np.random.default_rng(5).standard_normal(cs.N6), self.mat, None, 0, 1)
+        rep = error_norms(sol, cos2_square())
+        h2, l2 = _einsum_errors(sol, cos2_square())
+        assert rep.h2_semi == pytest.approx(h2, rel=1e-13)
+        assert rep.l2 == pytest.approx(l2, rel=1e-13)
+
 
 def _star_polygon_domain(gaps, radii, phase, degree, bc="clamped"):
     """Domain of one scaling center at the origin, clamped by default: one
@@ -615,6 +629,68 @@ class TestRandomStarPolygons:
             assert _reproduction_error(free, which) <= 1e-10
         for space in (cs, free):
             assert_same_m0(space.m0res, space.uspace)
+
+
+def _star_arc_domain(gaps, radii, sweeps, phase, degree, bc="clamped"):
+    """Domain of one scaling center at the origin, clamped by default, whose
+    edges are circular arcs (NURBS patches): edge k runs clockwise from
+    vertex k to vertex k+1, placed as in :func:`_star_polygon_domain`, and
+    turns by sweeps[k] radians, bulging out where sweeps[k] < 0."""
+    theta = phase - 2.0 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    verts = np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
+    patches = []
+    for a, b, sweep in zip(verts, np.roll(verts, -1, axis=0), sweeps):
+        # the arc's center lies on the bisector of the chord a -> b
+        center = 0.5 * (a + b) + np.array([a[1] - b[1], b[0] - a[0]]) / (2.0 * np.tan(0.5 * sweep))
+        angle0 = np.arctan2(a[1] - center[1], a[0] - center[0])
+        arc = circle_arc(center, np.hypot(*(a - center)), angle0, angle0 + sweep, degree)
+        patches.append(SBPatch(arc, (0.0, 0.0)))
+    return make_domain(patches, bc={"all": bc})
+
+
+@st.composite
+def _star_arcs(draw):
+    n = draw(st.integers(4, 6))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 1.5), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.6, 1.4), min_size=n, max_size=n)))
+    # 0.1 to 1 rad bulging out, 0.04 to 0.4 rad bulging in: with four or
+    # more edges every patch stays star-shaped (det J / xi >= 0.19 on all
+    # corners of these ranges)
+    sweeps = [draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1.0, 0.4])) for _ in range(n)]
+    return gaps, radii, np.array(sweeps), draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 0.45))
+
+
+class TestRandomStarArcs:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_star_arcs())
+    def test_clamped_space(self, case):
+        gaps, radii, sweeps, phase, nu = case
+        cs = build_coupled_space(_star_arc_domain(gaps, radii, sweeps, phase, 3).with_segments(2, 2, 1))
+        mat = PlateMaterial(E=1.0, nu=nu, D=1.0)
+        A = assemble_stiffness(cs, mat)
+        assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
+        np.linalg.cholesky(A.toarray())  # raises unless positive definite
+        assert max(rel for _, rel in c1_jump_report(cs, nsamples=20)) <= 1e-8
+        # the patch-level load and error norms against their (S1, K, Q) forms
+        g = lambda x, y: np.sin(3.0 * x) + y**2 + 0.5
+        f = assemble_load(cs, LoadSpec(surface=g))
+        ref = _einsum_load(cs, g)
+        assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+        sol = Solution(cs, np.random.default_rng(5).standard_normal(cs.N6), mat, None, 0, 1)
+        rep = error_norms(sol, cos2_square())
+        h2, l2 = _einsum_errors(sol, cos2_square())
+        assert rep.h2_semi == pytest.approx(h2, rel=1e-13)
+        assert rep.l2 == pytest.approx(l2, rel=1e-13)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_star_arcs())
+    def test_free_space_reproduces_linears(self, case):
+        gaps, radii, sweeps, phase, _ = case
+        free = build_coupled_space(
+            _star_arc_domain(gaps, radii, sweeps, phase, 3, bc="free").with_segments(2, 2, 1)
+        )
+        for which in ("1", "x", "y"):
+            assert _reproduction_error(free, which) <= 1e-10
 
 
 class TestManufacturedRhs:
