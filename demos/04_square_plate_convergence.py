@@ -19,7 +19,7 @@ print("%-8s %-8s %-12s %-12s" % ("h", "N6", "H2-semi", "L2"))
 for s in (4, 6, 8, 12, 16):
     dom = square4(degree=p, bc={"all": "clamped"}).with_segments(s, s, 1)
     cspace = build_coupled_space(dom)
-    sol = solve_plate(cspace, mat, loads, cond=False)
+    sol = solve_plate(cspace, mat, loads)
     rep = error_norms(sol, exact)
     hs.append(1.0 / s); h2s.append(rep.h2_semi); l2s.append(rep.l2)
     print("1/%-6d %-8d %-12.5g %-12.5g" % (s, cspace.N6, rep.h2_semi, rep.l2))

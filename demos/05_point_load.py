@@ -16,7 +16,7 @@ loads = LoadSpec(point_loads=[((0.0, 0.0), 1.0)])
 for s in (4, 6, 8, 10):
     dom = square4(degree=3, offset=(0, 0), bc={"all": "simply_supported"}).with_segments(s, s, 1)
     cspace = build_coupled_space(dom)
-    sol = solve_plate(cspace, mat, loads, cond=False)
+    sol = solve_plate(cspace, mat, loads)
     pt = locate_point(dom, (0.0, 0.0))
     uc = float(evaluate(sol, [pt], nders=0)[0])
     print("h=1/%-3d u_center=%.7f  |1-u/uref| = %.3e" % (s, uc, abs(1 - uc / uref)))

@@ -4,8 +4,6 @@ applied to Kirchhoff plate bending."""
 from .splines import (
     KnotVector,
     make_open_knot_vector,
-    eval_basis,
-    eval_deriv,
     insert_knot,
 )
 from .geometry import (
@@ -23,7 +21,6 @@ from .coupling import (
     verify_asg1,
     build_coupled_space,
     c1_basis,
-    nullspace,
     reproduction_vector,
     c1_jump_report,
 )

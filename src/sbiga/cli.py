@@ -14,7 +14,8 @@ import argparse
 import sys
 
 from .errors import SbigaError
-from .harness import CaseConfig, convergence_table, run_case, segment_list, verify_case, export_case
+from .harness import CaseConfig, check_output_dir, convergence_table, export_case, run_case
+from .harness import segment_list, verify_case
 
 
 def make_parser():
@@ -48,6 +49,8 @@ def main(argv=None):
         if args.command == "run":
             if args.segments:
                 cfg.segments = segment_list(args.segments, "--segments")
+            if args.csv:
+                check_output_dir(args.csv, "--csv")
             rows, _ = run_case(
                 cfg,
                 csv_path=args.csv,
@@ -67,6 +70,7 @@ def main(argv=None):
                 print("%-12s %-40s %.3e (tol %.0e) %s" % (kind, what, val, tol, "ok" if good else "FAIL"))
             return 0 if ok else 1
         if args.command == "export":
+            check_output_dir(args.out, "--out")
             for path in export_case(cfg, args.out):
                 print(path)
             return 0

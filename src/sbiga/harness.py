@@ -18,10 +18,13 @@ A case config is a single JSON document:
 }
 
 geometry.params takes the keyword arguments of the builder other than
-degree and bc.  Counts (segments, quad_order, fine_segments, terms,
-sample_grid), tol_null and the material's E, t and D must be > 0.  Unknown
-keys and malformed values raise a ConfigError whose message names the key's
-path (e.g. ``study.segmentz``).
+degree and bc.  Numbers are JSON numbers, not strings or booleans: counts
+and indices are integers, other values finite integers or floats, and the
+keys of bcs.per_patch decimal digits.  Counts (segments, quad_order,
+fine_segments, terms, sample_grid), tol_null and the material's E, t and D
+must be > 0.  Unknown keys, malformed values and an unreadable config file
+raise a ConfigError whose message names the key's path (e.g.
+``study.segmentz``) or the file.
 """
 
 import ast
@@ -29,6 +32,8 @@ import functools
 import inspect
 import json
 import operator
+import os
+import sys
 import time
 
 import numpy as np
@@ -131,12 +136,16 @@ def _entries(section, key, path, allowed):
 
 
 def _number(val, path, kind=int, positive=False):
-    """kind(val), or a ConfigError naming ``path``; with ``positive`` the
-    value must be > 0."""
-    try:
-        num = kind(val)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be a number, got %r" % (path, val)) from None
+    """kind(val) for an integer (kind int) or a finite integer or float
+    (kind float), never a boolean; else a ConfigError naming ``path``.
+    With ``positive`` the value must be > 0."""
+    if kind is int:
+        ok, what = isinstance(val, int), "an integer"
+    else:
+        ok, what = isinstance(val, (int, float)) and abs(val) <= sys.float_info.max, "a finite number"
+    if isinstance(val, bool) or not ok:
+        raise ConfigError("%s must be %s, got %r" % (path, what, val))
+    num = kind(val)
     if positive and not num > 0:
         raise ConfigError("%s must be > 0, got %r" % (path, val))
     return num
@@ -275,7 +284,9 @@ class CaseConfig:
             self.bc["all"] = _choice(bcs["all"], "bcs.all", ESSENTIAL_LAYERS)
         for k, tag in _section(bcs.get("per_patch"), "bcs.per_patch", None).items():
             path = "bcs.per_patch.%s" % k
-            self.bc[_number(k, path)] = _choice(tag, path, ESSENTIAL_LAYERS)
+            if not (isinstance(k, str) and k.isascii() and k.isdigit()):
+                raise ConfigError("%s: a patch index is written in decimal digits, got %r" % (path, k))
+            self.bc[int(k)] = _choice(tag, path, ESSENTIAL_LAYERS)
         self.bc_groups = {name: _choice(tag, "bcs.groups.%s" % name, ESSENTIAL_LAYERS)
                           for name, tag in _section(bcs.get("groups"), "bcs.groups", None).items()}
 
@@ -347,11 +358,14 @@ class CaseConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            try:
-                return cls(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config is not valid JSON: %s" % exc)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ConfigError("cannot read config %s: %s" % (path, exc.strerror or exc)) from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config is not valid JSON: %s" % exc)
+        return cls(doc)
 
     # ------------------------------------------------------------------
 
@@ -409,8 +423,19 @@ class CaseConfig:
         return self.reference() if callable(self.reference) else self.reference
 
 
+def check_output_dir(path, name):
+    """A ConfigError naming ``name`` unless the directory of the output
+    ``path`` exists and is writable; checked before the first level is
+    solved."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError("%s %s: directory %s does not exist or is not writable" % (name, path, folder))
+
+
 def run_case(cfg, csv_path=None, progress=None):
     """Execute the study of a config; returns (rows, last solution)."""
+    if csv_path is None and cfg.outputs["csv"]:
+        check_output_dir(cfg.outputs["csv"], "outputs.csv")
     base, info = cfg.build_base_domain()
     exact = cfg.exact_solution()
     loads = cfg.load_spec(info)

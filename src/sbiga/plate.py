@@ -167,8 +167,9 @@ def _uncoupled_stiffness(cspace, material, quad=None):
     rows, cols, vals = [], [], []
     for m in range(len(cspace.domain.patches)):
         tab = uspace.quad_tables(m, nq1, nq2)
+        patch_geo = tab.patch_geometry()
         for s2 in range(tab.S2):
-            IDX, H11, H22, H12, geo = tab.row_physical(s2)
+            IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
             wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
             loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
             loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
@@ -290,7 +291,7 @@ def _cond_estimate(A, lu):
     return est if np.isfinite(est) else np.inf
 
 
-def solve(A, f, cond=True):
+def solve(A, f):
     """Direct sparse solve with one refinement step.
 
     A is symmetric positive definite by construction (clamped or simply
@@ -320,15 +321,14 @@ def solve(A, f, cond=True):
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced nonfinite values", tag="solver-error")
     res = np.linalg.norm(f - A @ x)
-    est = _cond_estimate(A, lu) if cond else np.nan
-    return x, res, est
+    return x, res, _cond_estimate(A, lu)
 
 
-def solve_plate(cspace, material, loads, quad=None, cond=True):
+def solve_plate(cspace, material, loads, quad=None):
     """Assemble and solve; returns a :class:`Solution`."""
     A = assemble_stiffness(cspace, material, quad=quad)
     f = assemble_load(cspace, loads, quad=quad)
-    x, res, est = solve(A, f, cond=cond)
+    x, res, est = solve(A, f)
     return Solution(cspace, x, material, loads, res, est)
 
 
@@ -404,24 +404,9 @@ def error_norms(solution, exact, quad=None):
     return ErrorReport(np.sqrt(h2), np.sqrt(l2))
 
 
-def domain_area(cspace, quad=None):
-    """Quadrature area of the domain (used by trimming sanity checks)."""
-    uspace = cspace.uspace
-    nq1, nq2 = _quad_counts(cspace, quad)
-    total = 0.0
-    for m in range(len(cspace.domain.patches)):
-        geo = uspace.quad_tables(m, nq1, nq2).patch_geometry()
-        total += np.sum(geo["w"] * np.abs(geo["det"]))
-    return total
-
-
 def observed_orders(hs, errs):
     """Consecutive log-ratio convergence orders."""
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     return np.log(errs[:-1] / errs[1:]) / np.log(hs[:-1] / hs[1:])
 
-
-def fitted_order(hs, errs):
-    """Least-squares slope of log err vs log h."""
-    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

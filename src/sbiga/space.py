@@ -10,15 +10,18 @@ The array kernels :func:`~sbiga.splines.ders_basis` / ``nurbs_ders_basis``
 evaluate each block's tensor factors B_i(zeta) and R_j(xi): at points in
 :meth:`UncoupledSpace.parametric_eval` / ``physical_eval``, and at the Gauss
 nodes of a patch in :meth:`UncoupledSpace.quad_tables`, built once per Gauss
-order and kept on the space.  The element stiffness, whose basis index
-stays, expands the factors per radial span row to (S1, K, Q) Hessian tables
-and integrates with batched matmuls.  The load and the error norms contract
-one weight or coefficient vector with dense 1D factors over the whole Gauss
-grid of a patch, Bz^T W Rx and Bz C Rx^T (sum factorization), with one
-geometry evaluation and one pullback per patch.  All share the geometry
-kernel :func:`~sbiga.geometry.sb_geometry` and :func:`_pullback`, which maps
-parametric derivatives to physical gradients and Hessians through the
-closed-form J^{-1}; it is linear, so it maps fields as it maps functions.
+order and kept on the space.  The stiffness, the load and the error norms
+take their geometry from one :func:`~sbiga.geometry.sb_geometry` call on the
+whole Gauss grid of a patch (:meth:`_PatchTables.patch_geometry`).  The
+element stiffness, whose basis index stays, expands the factors per radial
+span row to (S1, K, Q) Hessian tables, pulls them back with that row's
+columns of the patch geometry and integrates with batched matmuls.  The
+load and the error norms contract one weight or coefficient vector with
+dense 1D factors over the whole grid, Bz^T W Rx and Bz C Rx^T (sum
+factorization), with one pullback per patch.  All share :func:`_pullback`,
+which maps parametric derivatives to physical gradients and Hessians
+through the closed-form J^{-1}; it is linear, so it maps fields as it maps
+functions.
 """
 
 import numpy as np
@@ -72,18 +75,13 @@ class PatchBlock:
         return ders_basis(self.curve.kv, z, nders)
 
     def radial_window(self, x, nders):
-        """Active radial indices of this block at xi = x and their ders.
-
-        For a scalar x only the functions inside the block's radial range
-        are returned.  For an array of n parameters jloc has shape (n, p+1)
-        and D shape (n, nders+1, p+1); functions outside the range carry
-        jloc = -1 and zero derivatives.
+        """Active radial indices of this block at the n parameters x and
+        their ders: jloc (n, p+1) and D (n, nders+1, p+1), with jloc = -1
+        and zero derivatives for functions outside the block's radial range.
         """
         first, D = ders_basis(self.radial, x, nders)
         jloc = np.add.outer(first - self.j_lo, np.arange(self.radial.p + 1))
         inside = (jloc >= 0) & (jloc < self.nj)
-        if np.ndim(x) == 0:
-            return jloc[inside], D[:, inside]
         return np.where(inside, jloc, -1), np.where(inside[:, None, :], D, 0.0)
 
 
@@ -113,12 +111,6 @@ class UncoupledSpace:
 
     def flat(self, m, b, i, jloc):
         return self.offsets[m][b] + i * self.blocks[m][b].nj + jloc
-
-    def patch_slice(self, m):
-        lo = self.offsets[m][0]
-        last = self.blocks[m][-1]
-        hi = self.offsets[m][-1] + last.size
-        return lo, hi
 
     # ------------------------------------------------------------------
     # pointwise evaluation
@@ -218,7 +210,7 @@ class UncoupledSpace:
 
         zflat = Znodes.ravel()
         # the curve data (g, g1, g2) of every zeta node, against a radial axis
-        geom = [d.reshape(S1, nq1, 1, 2) for d in patch.curve.eval(zflat, nders=2)]
+        geom = [d[:, None, :] for d in patch.curve.eval(zflat, nders=2)]
 
         # Gauss nodes lie inside spans: one active window per span
         zt = []
@@ -289,32 +281,24 @@ class _PatchTables:
                 parts[k].append(T.reshape(S1, -1, Q))
         return np.concatenate(idx, axis=1), {k: np.concatenate(v, axis=1) for k, v in parts.items()}
 
-    def row_geometry(self, s2):
-        """The :func:`~sbiga.geometry.sb_geometry` dict and the weights w of
-        row s2, arrays (S1, Q)."""
-        patch = self.patch
-        # c1 as a radial array makes every entry a full (S1, nq1, nq2) array
-        c1 = np.full(self.nq2, patch.c1)
-        geo = sb_geometry(*self.geom, patch.q(self.Xnodes[s2]), c1, patch.x0)
-        geo["w"] = self.Zw[:, :, None] * self.Xw[s2][None, None, :]
-        return {k: v.reshape(self.S1, -1) for k, v in geo.items()}
+    def row_physical(self, s2, geo):
+        """Physical Hessian components of the basis on row s2, from the
+        :meth:`patch_geometry` dict ``geo``.
 
-    def row_physical(self, s2):
-        """Physical Hessian components of the basis on row s2.
-
-        Returns (IDX, H11, H22, H12, geo) with arrays (S1, K, Q).
+        Returns (IDX, H11, H22, H12, row) with arrays (S1, K, Q) and row the
+        columns of row s2 of ``geo``, arrays (S1, Q).
         """
         IDX, A = self.row_basis(s2, ("D10", "D01", "D20", "D11", "D02"))
-        geo = self.row_geometry(s2)
-        _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in geo.items()})
-        return IDX, H11, H22, H12, geo
+        cols = slice(s2 * self.nq2, (s2 + 1) * self.nq2)
+        row = {k: v[:, cols].reshape(self.S1, -1) for k, v in geo.items()}
+        _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in row.items()})
+        return IDX, H11, H22, H12, row
 
     def patch_geometry(self):
         """The :func:`~sbiga.geometry.sb_geometry` dict and the weights w on
         the whole Gauss grid of the patch, arrays (S1*nq1, S2*nq2)."""
         q = self.patch.q(self.Xnodes.ravel())
-        geom = [d.reshape(-1, 1, 2) for d in self.geom]
-        geo = sb_geometry(*geom, q, np.full(q.shape, self.patch.c1), self.patch.x0)
+        geo = sb_geometry(*self.geom, q, np.full(q.shape, self.patch.c1), self.patch.x0)
         geo["w"] = np.outer(self.Zw, self.Xw)
         return geo
 

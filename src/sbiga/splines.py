@@ -7,8 +7,9 @@ Conventions used throughout the package:
 * basis indices are 0-based,
 * evaluation at t = 1 uses the left-limit convention, so the last basis
   function attains 1 there,
-* 0/0 is defined as 0 in the Cox-de Boor reference recursion; the array
-  kernel :func:`ders_basis` divides only by positive knot differences.
+* :func:`ders_basis` divides only by positive knot differences.  The
+  Cox-de Boor recursion with 0/0 := 0, its reference in the tests, is not
+  part of the package: assembly always evaluates arrays of parameters.
 """
 
 import bisect
@@ -20,8 +21,6 @@ from .errors import SplineError
 __all__ = [
     "KnotVector",
     "make_open_knot_vector",
-    "eval_basis",
-    "eval_deriv",
     "ders_basis",
     "nurbs_ders_basis",
     "insert_knot",
@@ -100,11 +99,6 @@ class KnotVector:
                 out.append((k, a, b))
         return out
 
-    def span_index(self, t):
-        """Index k with values[k] <= t < values[k+1] (left limit at t=1)."""
-        k = int(np.searchsorted(self.values, t, side="right")) - 1
-        return min(max(k, self.p), self.n - 1)
-
     def multiplicity(self, t, tol=1e-12):
         return int(np.sum(np.abs(self.values - t) <= tol))
 
@@ -119,13 +113,6 @@ class KnotVector:
     def mirrored(self):
         """Knot vector of the reversed parametrization t -> 1-t."""
         return KnotVector(1.0 - self.values[::-1], self.p)
-
-    def regularity(self):
-        """Global smoothness p - max interior multiplicity (p-1 if none)."""
-        _, counts = self.interior_multiplicities()
-        if len(counts) == 0:
-            return self.p - 1
-        return self.p - int(counts.max())
 
 
 def make_open_knot_vector(p, segments, r):
@@ -144,69 +131,17 @@ def make_open_knot_vector(p, segments, r):
     return KnotVector(values, p)
 
 
-def _basis_value(values, p, i, t):
-    """Cox-DeBoor recursion for a single B-spline value (reference path)."""
-    if p == 0:
-        if values[i] <= t < values[i + 1]:
-            return 1.0
-        # left-limit convention at the right end
-        if t == values[-1] and values[i] < t <= values[i + 1]:
-            return 1.0
-        return 0.0
-    left = 0.0
-    den = values[i + p] - values[i]
-    if den > 0.0:
-        left = (t - values[i]) / den * _basis_value(values, p - 1, i, t)
-    right = 0.0
-    den = values[i + p + 1] - values[i + 1]
-    if den > 0.0:
-        right = (values[i + p + 1] - t) / den * _basis_value(values, p - 1, i + 1, t)
-    return left + right
-
-
-def eval_basis(kv, i, t):
-    """Value of the i-th (0-based) B-spline of ``kv`` at t."""
-    if not 0 <= i < kv.n:
-        raise SplineError("basis index %d out of range" % i, tag="invalid-index")
-    return _basis_value(kv.values, kv.p, i, float(t))
-
-
-def _deriv_value(values, p, i, t, order):
-    if order == 0:
-        return _basis_value(values, p, i, t)
-    n = len(values) - p - 1
-    out = 0.0
-    den = values[i + p] - values[i]
-    if den > 0.0:
-        out += p / den * _deriv_value(values, p - 1, i, t, order - 1)
-    den = values[i + p + 1] - values[i + 1]
-    # B_{n+1,p-1} := 0 boundary convention
-    if den > 0.0 and i + 1 <= n:
-        out -= p / den * _deriv_value(values, p - 1, i + 1, t, order - 1)
-    return out
-
-
-def eval_deriv(kv, i, t, order):
-    """order-th derivative (order in {1, 2}) of the i-th B-spline at t."""
-    if not 0 <= i < kv.n:
-        raise SplineError("basis index %d out of range" % i, tag="invalid-index")
-    if order > kv.p:
-        raise SplineError("derivative order %d > degree" % order, tag="unsupported-order")
-    return _deriv_value(kv.values, kv.p, i, float(t), order)
-
-
 def ders_basis(kv, t, nders):
-    """All nonzero B-splines and derivatives at t.
+    """All nonzero B-splines and derivatives at the n parameters t.
 
-    Returns (first_index, D) where D[k, j] is the k-th derivative of basis
-    function first_index + j, k = 0..nders, j = 0..p.  For an array of n
-    parameters, first_index has shape (n,) and D shape (n, nders+1, p+1).
-    Standard triangular algorithm, run over all parameters at once; this is
-    the fast path used by assembly.  Every division is by a knot difference
-    U[span+a] - U[span+b] with a >= 1 and b <= 0; it covers the nonempty
-    span of t, so it is positive and no 0/0 guard is needed.
+    Returns (first, D), first (n,) and D (n, nders+1, p+1), where
+    D[., k, j] is the k-th derivative of basis function first + j,
+    k = 0..nders, j = 0..p; a scalar t counts as one parameter.  Standard
+    triangular algorithm, run over all parameters at once.  Every division
+    is by a knot difference U[span+a] - U[span+b] with a >= 1 and b <= 0;
+    it covers the nonempty span of t, so it is positive and no 0/0 guard is
+    needed.
     """
-    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = kv.p
     U = kv.values
@@ -246,10 +181,7 @@ def ders_basis(kv, t, nders):
     for k in range(1, nders + 1):
         rfac *= p - k + 1
         ders[k] *= rfac
-    first = span - p
-    if scalar:
-        return int(first[0]), ders[..., 0]
-    return first, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
+    return span - p, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
 
 
 def nurbs_ders_basis(kv, weights, t, nders):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .plate import evaluate, bending_moments
 
-__all__ = ["export_field", "read_structured_grid"]
+__all__ = ["export_field"]
 
 
 def export_field(solution, sample_grid, path):
@@ -42,22 +42,3 @@ def export_field(solution, sample_grid, path):
         paths.append(fname)
     return paths
 
-
-def read_structured_grid(path):
-    """Parse a file written by :func:`export_field` (round-trip testing)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    i = lines.index("DATASET STRUCTURED_GRID")
-    dims = tuple(int(v) for v in lines[i + 1].split()[1:])
-    npts = int(lines[i + 2].split()[1])
-    pts = np.array([[float(v) for v in lines[i + 3 + k].split()] for k in range(npts)])
-    out = {"dimensions": dims, "points": pts, "point_data": {}}
-    j = i + 3 + npts
-    assert lines[j].startswith("POINT_DATA")
-    j += 1
-    while j < len(lines) and lines[j].startswith("SCALARS"):
-        name = lines[j].split()[1]
-        vals = np.array([float(lines[j + 2 + k]) for k in range(npts)])
-        out["point_data"][name] = vals
-        j += 2 + npts
-    return out

@@ -42,7 +42,7 @@ def smooth_square_study(p, segment_list, stabilized=False):
         else:
             dom = square4(degree=p, bc={"all": "clamped"}).with_segments(s, s, 1)
             cs = build_coupled_space(dom)
-        sol = solve_plate(cs, mat, loads, cond=False)
+        sol = solve_plate(cs, mat, loads)
         rep = error_norms(sol, exact)
         out.h.append(1.0 / s)
         out.h2.append(rep.h2_semi)
@@ -63,7 +63,7 @@ def point_load_study(segment_list, stabilized=False, p=3):
             cs = build_combined_space(base, s, 1)
         else:
             cs = build_coupled_space(base.with_segments(s, s, 1))
-        sol = solve_plate(cs, mat, loads, cond=False)
+        sol = solve_plate(cs, mat, loads)
         m, z, x = locate_point(cs.domain, (0.0, 0.0))
         uc = float(evaluate(sol, [(m, z, x)], nders=0)[0])
         out.h.append(1.0 / s)

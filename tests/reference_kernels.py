@@ -20,6 +20,16 @@
 
 The production versions in ``src/`` must reproduce them bit for bit; the
 tests compare raw bytes, not values within a tolerance.
+
+The second part holds kernels that only the tests call, each the
+independent side of some check: the scalar Cox-de Boor recursion
+(:func:`eval_basis`, :func:`eval_deriv`) with 0/0 := 0 and the left-limit
+convention at t = 1, the knot-vector queries :func:`span_index` and
+:func:`regularity`, the rank of a Gram matrix by pivoted elimination
+(:func:`gram_rank`), the geometry of one radial span row of the patch
+tables (:func:`row_geometry`, :func:`row_physical`), the quadrature area
+of a domain, a least-squares convergence order and a reader of the VTK
+files that ``sbiga.vtkio`` writes.
 """
 
 import numpy as np
@@ -27,8 +37,9 @@ import scipy.sparse as sp
 from scipy.linalg import qr, solve_triangular
 
 from sbiga.coupling import _RANK_GAP
-from sbiga.errors import CouplingError, GeometryError
-from sbiga.geometry import ESSENTIAL_LAYERS, NurbsCurve, make_domain
+from sbiga.errors import CouplingError, GeometryError, SplineError
+from sbiga.geometry import ESSENTIAL_LAYERS, NurbsCurve, make_domain, sb_geometry
+from sbiga.space import _pullback
 from sbiga.splines import KnotVector
 
 
@@ -39,7 +50,6 @@ def _ratio(num, den):
 
 def ders_basis_ratio(kv, t, nders):
     """Reference ders_basis: same return values as the production kernel."""
-    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = kv.p
     U = kv.values
@@ -85,17 +95,14 @@ def ders_basis_ratio(kv, t, nders):
     for k in range(1, nders + 1):
         rfac *= p - k + 1
         ders[k] *= rfac
-    first = span - p
-    if scalar:
-        return int(first[0]), ders[..., 0]
-    return first, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
+    return span - p, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
 
 
 def _insert_knot_per_knot(kv, ctrl, t, times):
     p = kv.p
     for _ in range(times):
         U = kv.values
-        k = kv.span_index(t)
+        k = span_index(kv, t)
         new_ctrl = np.empty((ctrl.shape[0] + 1, ctrl.shape[1]))
         new_ctrl[: k - p + 1] = ctrl[: k - p + 1]
         new_ctrl[k + 1 :] = ctrl[k:]
@@ -413,3 +420,150 @@ def assert_same_topology(dom, ref):
     assert [(b.patch, b.edge, b.tag) for b in dom.boundary] == [
         (b.patch, b.edge, b.tag) for b in ref.boundary
     ]
+
+
+# ----------------------------------------------------------------------
+# kernels that only the tests call
+
+
+def span_index(kv, t):
+    """Index k with values[k] <= t < values[k+1] (left limit at t=1)."""
+    k = int(np.searchsorted(kv.values, t, side="right")) - 1
+    return min(max(k, kv.p), kv.n - 1)
+
+
+def regularity(kv):
+    """Global smoothness p - max interior multiplicity (p-1 if none)."""
+    _, counts = kv.interior_multiplicities()
+    if len(counts) == 0:
+        return kv.p - 1
+    return kv.p - int(counts.max())
+
+
+def _basis_value(values, p, i, t):
+    """Cox-DeBoor recursion for a single B-spline value."""
+    if p == 0:
+        if values[i] <= t < values[i + 1]:
+            return 1.0
+        # left-limit convention at the right end
+        if t == values[-1] and values[i] < t <= values[i + 1]:
+            return 1.0
+        return 0.0
+    left = 0.0
+    den = values[i + p] - values[i]
+    if den > 0.0:
+        left = (t - values[i]) / den * _basis_value(values, p - 1, i, t)
+    right = 0.0
+    den = values[i + p + 1] - values[i + 1]
+    if den > 0.0:
+        right = (values[i + p + 1] - t) / den * _basis_value(values, p - 1, i + 1, t)
+    return left + right
+
+
+def eval_basis(kv, i, t):
+    """Value of the i-th (0-based) B-spline of ``kv`` at t."""
+    if not 0 <= i < kv.n:
+        raise SplineError("basis index %d out of range" % i, tag="invalid-index")
+    return _basis_value(kv.values, kv.p, i, float(t))
+
+
+def _deriv_value(values, p, i, t, order):
+    if order == 0:
+        return _basis_value(values, p, i, t)
+    n = len(values) - p - 1
+    out = 0.0
+    den = values[i + p] - values[i]
+    if den > 0.0:
+        out += p / den * _deriv_value(values, p - 1, i, t, order - 1)
+    den = values[i + p + 1] - values[i + 1]
+    # B_{n+1,p-1} := 0 boundary convention
+    if den > 0.0 and i + 1 <= n:
+        out -= p / den * _deriv_value(values, p - 1, i + 1, t, order - 1)
+    return out
+
+
+def eval_deriv(kv, i, t, order):
+    """order-th derivative (order in {1, 2}) of the i-th B-spline at t."""
+    if not 0 <= i < kv.n:
+        raise SplineError("basis index %d out of range" % i, tag="invalid-index")
+    if order > kv.p:
+        raise SplineError("derivative order %d > degree" % order, tag="unsupported-order")
+    return _deriv_value(kv.values, kv.p, i, float(t), order)
+
+
+def gram_rank(MJ, tol):
+    """Brute-force rank of a PSD Gram matrix by diagonally pivoted
+    elimination (independent of the spectral path)."""
+    A = np.array(sp.csc_matrix(MJ).toarray(), dtype=float)
+    n = A.shape[0]
+    scale = np.max(np.diagonal(A)) if n else 0.0
+    if scale <= 0.0:
+        return 0
+    rank = 0
+    for _ in range(n):
+        d = np.diagonal(A).copy()
+        k = int(np.argmax(d))
+        if d[k] <= tol * scale:
+            break
+        col = A[:, k] / d[k]
+        A -= np.outer(col, A[k, :])
+        A[k, :] = 0.0
+        A[:, k] = 0.0
+        rank += 1
+    return rank
+
+
+def row_geometry(tab, s2):
+    """The ``sb_geometry`` dict and the weights w of radial span row s2 of
+    the patch tables ``tab``, evaluated on that row's (S1, nq1, nq2) points
+    alone: arrays (S1, Q)."""
+    patch = tab.patch
+    g = [d.reshape(tab.S1, tab.nq1, 1, 2) for d in tab.geom]
+    # c1 as a radial array makes every entry a full (S1, nq1, nq2) array
+    geo = sb_geometry(*g, patch.q(tab.Xnodes[s2]), np.full(tab.nq2, patch.c1), patch.x0)
+    geo["w"] = tab.Zw[:, :, None] * tab.Xw[s2][None, None, :]
+    return {k: v.reshape(tab.S1, -1) for k, v in geo.items()}
+
+
+def row_physical(tab, s2):
+    """Physical Hessians (IDX, H11, H22, H12, geo) of the basis on row s2,
+    arrays (S1, K, Q), with the geometry of :func:`row_geometry`."""
+    IDX, A = tab.row_basis(s2, ("D10", "D01", "D20", "D11", "D02"))
+    geo = row_geometry(tab, s2)
+    _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in geo.items()})
+    return IDX, H11, H22, H12, geo
+
+
+def domain_area(cspace, quad=None):
+    """Quadrature area of the domain (the Gauss rule of the assembly)."""
+    nq = quad or cspace.domain.p + 1
+    total = 0.0
+    for m in range(len(cspace.domain.patches)):
+        geo = cspace.uspace.quad_tables(m, nq, nq).patch_geometry()
+        total += np.sum(geo["w"] * np.abs(geo["det"]))
+    return total
+
+
+def fitted_order(hs, errs):
+    """Least-squares slope of log err vs log h."""
+    return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+
+def read_structured_grid(path):
+    """Parse a file written by ``sbiga.vtkio.export_field``."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh]
+    i = lines.index("DATASET STRUCTURED_GRID")
+    dims = tuple(int(v) for v in lines[i + 1].split()[1:])
+    npts = int(lines[i + 2].split()[1])
+    pts = np.array([[float(v) for v in lines[i + 3 + k].split()] for k in range(npts)])
+    out = {"dimensions": dims, "points": pts, "point_data": {}}
+    j = i + 3 + npts
+    assert lines[j].startswith("POINT_DATA")
+    j += 1
+    while j < len(lines) and lines[j].startswith("SCALARS"):
+        name = lines[j].split()[1]
+        vals = np.array([float(lines[j + 2 + k]) for k in range(npts)])
+        out["point_data"][name] = vals
+        j += 2 + npts
+    return out

@@ -6,16 +6,15 @@ pass/fail line; expensive studies are shared session fixtures.
 import numpy as np
 import pytest
 
+from reference_kernels import eval_basis, eval_deriv, fitted_order, gram_rank
 from sbiga.coupling import (
     asg1_coefficients,
     c1_jump_report,
-    gram_rank,
     nullspace,
     reproduction_vector,
     verify_asg1,
 )
 from sbiga.models import disk4, fan2, square4
-from sbiga.plate import fitted_order
 
 
 def note(name, ok, detail):
@@ -204,7 +203,7 @@ def test_criterion_09_rank_oracle():
 
 
 def test_criterion_10_kernel_properties():
-    from sbiga.splines import eval_basis, eval_deriv, make_open_knot_vector
+    from sbiga.splines import make_open_knot_vector
     from sbiga.geometry import circle_arc
     from sbiga.space import UncoupledSpace
     from sbiga.trim import split_curve

@@ -71,10 +71,10 @@ class TestControlNet:
 
         rng = np.random.default_rng(0)
         for z, x in rng.uniform(0, 1, (100, 2)):
-            f1, Dz = ders_basis(pa.curve.kv, z, 0)
+            (f1,), (Dz,) = ders_basis(pa.curve.kv, np.array([z]), 0)
             w = pa.curve.weights[f1 : f1 + pa.p + 1] * Dz[0]
             w /= w.sum()
-            f2, Dx = ders_basis(pa.radial, x, 0)
+            (f2,), (Dx,) = ders_basis(pa.radial, np.array([x]), 0)
             sub = net[f1 : f1 + pa.p + 1, f2 : f2 + pa.p + 1]
             val = np.einsum("i,j,ijk->k", w, Dx[0], sub)
             assert np.allclose(val, pa.map(z, x), atol=1e-12)
@@ -198,8 +198,9 @@ class TestOneGeometryKernel:
         S1, nq1, nq2 = tab.S1, tab.nq1, tab.nq2
         c = np.random.default_rng(6).standard_normal(uspace.N)
         patch_field = tab.field(c)[:4]
+        patch_geo = tab.patch_geometry()
         for s2 in range(tab.S2):
-            IDX, H11, H22, H12, _ = tab.row_physical(s2)
+            IDX, H11, H22, H12, _ = tab.row_physical(s2, patch_geo)
             # the patch grid's columns s2*nq2 .. (s2+1)*nq2 are row s2
             field = [f[:, s2 * nq2 : (s2 + 1) * nq2] for f in patch_field]
             # row point q = q1 * nq2 + q2 of zeta span s1

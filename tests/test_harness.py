@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import sbiga
+from reference_kernels import read_structured_grid
 from sbiga.cli import main as cli_main
+from sbiga import harness
 from sbiga.errors import ConfigError
 from sbiga.harness import CSV_COLUMNS, CaseConfig, run_case, verify_case
-from sbiga.vtkio import export_field, read_structured_grid
+from sbiga.vtkio import export_field
 
 SMOOTH = {
     "geometry": {"builtin": "square4", "params": {"offset": [-0.15, 0.1]}},
@@ -308,6 +310,19 @@ class TestCli:
         ({"exact": {"builtin": ["cos2_square"]}}, "exact.builtin"),
         ({"geometry": {"builtin": "square4", "params": {"offset": "x"}}}, "geometry.params.offset"),
         ({"geometry": {"builtin": "l_bracket", "params": {"hole_r": "a"}}}, "geometry.params.hole_r"),
+        # numbers are JSON numbers: no booleans, strings or truncated floats
+        ({"discretization": {"p": True, "r": 1}}, "discretization.p"),
+        ({"discretization": {"p": "3", "r": 1}}, "discretization.p"),
+        ({"discretization": {"p": 3.7, "r": 1}}, "discretization.p"),
+        ({"study": {"segments": ["4"]}}, r"study.segments\[0\]"),
+        ({"geometry": {"builtin": "square4", "params": {"offset": ["-0.15", 0.1]}}},
+         r"geometry.params.offset\[0\]"),
+        ({"material": {"E": 1e4, "nu": 0.0, "D": "1"}}, "material.D"),
+        ({"outputs": {"sample_grid": [9.5, 9]}}, r"outputs.sample_grid\[0\]"),
+        ({"bcs": {"per_patch": {" 0": "clamped"}}}, "bcs.per_patch. 0"),
+        ({"material": {"E": 10**400, "nu": 0.0, "D": 1.0}}, "material.E"),
+        ({"material": {"E": 1e4, "nu": 0.0, "D": float("inf")}}, "material.D"),
+        ({"loads": {"point": [{"at": [0, 0], "F": float("nan")}]}}, r"loads.point\[0\].F"),
     ])
     def test_malformed_value_exit_code_2(self, tmp_path, change, path):
         doc = dict(SMOOTH, **change)
@@ -356,6 +371,28 @@ class TestCli:
         assert proc.returncode == 2
         assert "outputs.csv" in proc.stderr
 
+    def test_unreadable_config_exit_code_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.json")
+        assert cli_main(["run", missing]) == 2
+        assert "cannot read config %s" % missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        (["run", "--csv", "{dir}/x.csv"], "--csv"),
+        (["export", "--out", "{dir}/field"], "--out"),
+        (["run"], "outputs.csv"),
+        (["export", "--out", "{tmp}/field"], "outputs.csv"),
+    ])
+    def test_missing_output_dir_exit_code_2(self, tmp_path, monkeypatch, capsys, command, flag):
+        # the output directory is checked before the first level is solved
+        missing = str(tmp_path / "nonexistent")
+        doc = dict(SMOOTH, outputs={"csv": missing + "/x.csv"} if flag == "outputs.csv" else {})
+        path = write_cfg(tmp_path, doc)
+        monkeypatch.setattr(harness, "solve_plate", lambda *a, **k: pytest.fail("a level was solved"))
+        argv = [command[0], path] + [a.format(dir=missing, tmp=tmp_path) for a in command[1:]]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and missing in err
+
     def test_export_subcommand(self, tmp_path):
         doc = dict(SMOOTH, study={"segments": [2]})
         path = write_cfg(tmp_path, doc)
@@ -375,7 +412,7 @@ def vtk_solution():
     cs = build_coupled_space(dom)
     exact = cos2_square()
     mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
-    return solve_plate(cs, mat, LoadSpec(surface=manufactured_rhs(exact, mat.D)), cond=False)
+    return solve_plate(cs, mat, LoadSpec(surface=manufactured_rhs(exact, mat.D)))
 
 
 class TestVtkExport:
@@ -488,7 +525,7 @@ class TestLBracketSolve:
         from sbiga.plate import solve
 
         _, A, f = case
-        x, res, _ = solve(A, f, cond=False)
+        x, res, _ = solve(A, f)
         scale = abs(A).sum(axis=0).max() * np.abs(x).sum() + np.abs(f).sum()
         assert np.linalg.norm(f) > 0.0
         assert res <= 1e-15 * scale

@@ -55,7 +55,7 @@ class TestExtendedModels:
         assert np.allclose(edge.eval(np.linspace(0, 1, 5))[:, 0], 3.0, atol=1e-12)
 
     def test_extended_domains_area(self):
-        from sbiga.plate import domain_area
+        from reference_kernels import domain_area
         from sbiga.space import UncoupledSpace
 
         dom, _ = perforated_disk(degree=2)

@@ -7,13 +7,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from reference_kernels import assert_same_m0
+from reference_kernels import assert_same_m0, domain_area, gram_rank, row_geometry, row_physical
+from sbiga import space as sbiga_space
 from sbiga.coupling import (
     CoupledSpace,
     build_coupled_space,
     c1_basis,
     c1_jump_report,
-    gram_rank,
     reproduction_vector,
 )
 from sbiga.errors import AssemblyError, GeometryError, SolverError
@@ -30,7 +30,6 @@ from sbiga.plate import (
     assemble_stiffness,
     bending_moments,
     cos2_square,
-    domain_area,
     error_norms,
     evaluate,
     manufactured_rhs,
@@ -90,8 +89,9 @@ class TestAssembleStiffness:
         rows, cols, vals = [], [], []
         for m in range(len(dom.patches)):
             tab = cs.uspace.quad_tables(m, 3, 3)
+            patch_geo = tab.patch_geometry()
             for s2 in range(tab.S2):
-                IDX, H11, H22, H12, geo = tab.row_physical(s2)
+                IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
                 wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
                 loc = (H11 * wD) @ H11.transpose(0, 2, 1)
                 loc += (H22 * wD) @ H22.transpose(0, 2, 1)
@@ -106,6 +106,21 @@ class TestAssembleStiffness:
         ).tocsc()
         B = (cs.M1.T @ (cs.M0.T @ Atil @ cs.M0) @ cs.M1).tocsc()
         assert (A != B).nnz == 0  # bitwise identical
+
+    def test_geometry_evaluated_once_per_patch(self, monkeypatch):
+        # every radial span row takes its columns of one evaluation of the
+        # SB map on the patch's Gauss grid (one per row would be S2 = 16)
+        cs = build_combined_space(square4(degree=5, bc={"all": "clamped"}), 16, 1)
+        calls = []
+        sb_geometry = sbiga_space.sb_geometry
+
+        def counted(*args):
+            calls.append(1)
+            return sb_geometry(*args)
+
+        monkeypatch.setattr(sbiga_space, "sb_geometry", counted)
+        _uncoupled_stiffness(cs, PlateMaterial(E=1.0, nu=0.3, D=1.0))
+        assert len(calls) == len(cs.domain.patches) == 4
 
     def test_positive_definite_when_clamped(self, clamped_square, material):
         A = assemble_stiffness(clamped_square, material)
@@ -139,7 +154,7 @@ class TestAssembleStiffness:
         Q = np.linalg.qr(rng.standard_normal((cs.N6 - k, cs.N6 - k)))[0]
         M1 = sp.hstack([cs.M1[:, :k], cs.M1[:, k:] @ Q]).tocsc()
         mixed = CoupledSpace(cs.domain, cs.uspace, cs.m0res, cs.C, M1, cs.r00, cs.rank_gap, cs.tol_null)
-        l2 = [error_norms(solve_plate(c, mat, loads, cond=False), exact).l2 for c in (cs, mixed)]
+        l2 = [error_norms(solve_plate(c, mat, loads), exact).l2 for c in (cs, mixed)]
         assert abs(l2[1] / l2[0] - 1.0) < 0.01
 
 
@@ -230,7 +245,8 @@ def _plate_system(p, s, stabilized=False, point_load=False, one_group=False):
     else:
         cs = build_coupled_space(base.with_segments(s, s, 1))
     if one_group:
-        cs = CoupledSpace(cs.domain, cs.uspace, cs.m0res, cs.C, *c1_basis(cs.C, tol=cs.tol_null), cs.tol_null)
+        basis = c1_basis(cs.C, [0, cs.C.shape[0]], tol=cs.tol_null)  # (M1, r00, rank gap)
+        cs = CoupledSpace(cs.domain, cs.uspace, cs.m0res, cs.C, *basis, cs.tol_null)
     return sp.csc_matrix(assemble_stiffness(cs, mat)), assemble_load(cs, loads)
 
 
@@ -244,7 +260,7 @@ def _solver_lu(monkeypatch, A, f):
         return calls[-1]
 
     monkeypatch.setattr(spla, "splu", wrapped)
-    solve(A, f, cond=False)
+    solve(A, f)
     assert len(calls) == 1
     return calls[0]
 
@@ -258,7 +274,7 @@ class TestSolverPivoting:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
         ref = lu.solve(f)
         ref = ref + lu.solve(f - A @ ref)
-        x, _, _ = solve(A, f, cond=False)
+        x, _, _ = solve(A, f)
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("case, max_fill", [
@@ -311,7 +327,7 @@ class TestSolverOracle:
                            options={"SymmetricMode": True})
             ref = lu.solve(f)
             ref = ref + lu.solve(f - A @ ref)
-            x, _, _ = solve(A, f, cond=False)
+            x, _, _ = solve(A, f)
             assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
@@ -374,7 +390,7 @@ class TestEvaluate:
     def test_finite_difference_oracle(self, clamped_square, material):
         exact = cos2_square()
         loads = LoadSpec(surface=manufactured_rhs(exact, material.D))
-        sol = solve_plate(clamped_square, material, loads, cond=False)
+        sol = solve_plate(clamped_square, material, loads)
         dom = clamped_square.domain
         rng = np.random.default_rng(2)
 
@@ -456,7 +472,7 @@ class TestErrorNorms:
     def test_quadrature_convergence(self, clamped_square, material):
         exact = cos2_square()
         loads = LoadSpec(surface=manufactured_rhs(exact, material.D))
-        sol = solve_plate(clamped_square, material, loads, cond=False)
+        sol = solve_plate(clamped_square, material, loads)
         r1 = error_norms(sol, exact)
         r2 = error_norms(sol, exact, quad=8)
         assert abs(r1.h2_semi - r2.h2_semi) <= 1e-3 * r2.h2_semi
@@ -474,7 +490,7 @@ def _einsum_uncoupled_stiffness(cs, material):
     for m in range(len(cs.domain.patches)):
         tab = cs.uspace.quad_tables(m, nq, nq)
         for s2 in range(tab.S2):
-            IDX, H11, H22, H12, geo = tab.row_physical(s2)
+            IDX, H11, H22, H12, geo = row_physical(tab, s2)
             w = geo["w"] * np.abs(geo["det"])
             lap = H11 + H22
             loc = D * (1.0 - nu) * (
@@ -499,7 +515,7 @@ def _einsum_load(cs, g):
         tab = cs.uspace.quad_tables(m, nq, nq)
         for s2 in range(tab.S2):
             IDX, A = tab.row_basis(s2, ("V",))
-            geo = tab.row_geometry(s2)
+            geo = row_geometry(tab, s2)
             w = geo["w"] * np.abs(geo["det"]) * g(geo["px"], geo["py"])
             np.add.at(ftil, IDX.ravel(), np.einsum("saq,sq->sa", A["V"], w).ravel())
     return cs.M1.T @ (cs.M0.T @ ftil)
@@ -512,7 +528,7 @@ def _einsum_errors(sol, exact):
     for m in range(len(cs.domain.patches)):
         tab = cs.uspace.quad_tables(m, nq, nq)
         for s2 in range(tab.S2):
-            IDX, H11, H22, H12, geo = tab.row_physical(s2)
+            IDX, H11, H22, H12, geo = row_physical(tab, s2)
             V = tab.row_basis(s2, ("V",))[1]["V"]
             w = geo["w"] * np.abs(geo["det"])
             c = sol.ctil[IDX]
@@ -752,7 +768,7 @@ class TestStructuralInvariants:
             cs = build_coupled_space(dom)
             A = assemble_stiffness(cs, mat)
             f = assemble_load(cs, loads)
-            x, _, _ = solve(A, f, cond=False)
+            x, _, _ = solve(A, f)
             energies.append(float(x @ (A @ x)))
         assert energies[0] <= energies[1] * (1 + 1e-12)
         assert energies[1] <= energies[2] * (1 + 1e-12)
@@ -766,7 +782,7 @@ class TestStructuralInvariants:
         dom = square4(degree=3, offset=(0.0, 0.0), bc={"all": "simply_supported"})
         cs = build_coupled_space(dom.with_segments(4, 4, 1))
         mat = PlateMaterial(E=1e6, nu=0.0, D=1.0)
-        sol = solve_plate(cs, mat, LoadSpec(point_loads=[((0.0, 0.0), 1.0)]), cond=False)
+        sol = solve_plate(cs, mat, LoadSpec(point_loads=[((0.0, 0.0), 1.0)]))
         rng = np.random.default_rng(7)
 
         def u_at(xy):
@@ -787,7 +803,7 @@ class TestStructuralInvariants:
         dom = square4(degree=3, offset=(0.0, 0.0), bc={"all": "simply_supported"})
         cs = build_coupled_space(dom.with_segments(4, 4, 1))
         mat = PlateMaterial(E=1e6, nu=0.0, D=1.0)
-        sol = solve_plate(cs, mat, LoadSpec(point_loads=[((0.0, 0.0), 1.0)]), cond=False)
+        sol = solve_plate(cs, mat, LoadSpec(point_loads=[((0.0, 0.0), 1.0)]))
         rng = np.random.default_rng(8)
         for _ in range(12):
             x, y = rng.uniform(0.05, 0.4, 2)

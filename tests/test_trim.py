@@ -116,7 +116,7 @@ class TestAssembleTrimmedDomain:
 class TestTrimmedAreas:
     def test_chamfer_area(self):
         from sbiga.coupling import build_coupled_space
-        from sbiga.plate import domain_area
+        from reference_kernels import domain_area
 
         square, spec = chamfered_square(degree=3)
         dom = assemble_trimmed_domain(square, spec)
@@ -125,7 +125,7 @@ class TestTrimmedAreas:
 
     def test_circle_hole_area(self):
         from sbiga.coupling import build_coupled_space
-        from sbiga.plate import domain_area
+        from reference_kernels import domain_area
 
         square, spec = square_with_circle_hole(degree=3, r=0.15)
         dom = assemble_trimmed_domain(square, spec)
@@ -135,7 +135,7 @@ class TestTrimmedAreas:
 
     def test_diamond_hole_area(self):
         from sbiga.coupling import build_coupled_space
-        from sbiga.plate import domain_area
+        from reference_kernels import domain_area
 
         square, spec = square_with_hole(degree=3, half_diagonal=0.15)
         dom = assemble_trimmed_domain(square, spec)
