@@ -6,7 +6,6 @@ import numpy as np
 from sbiga.coupling import build_coupled_space, reproduction_vector
 from sbiga.models import chamfered_square, square_with_hole
 from sbiga.plate import LoadSpec, assemble_load
-from sbiga.trim import assemble_trimmed_domain
 
 
 def area(cs):
@@ -16,14 +15,12 @@ def area(cs):
     return assemble_load(cs, unit) @ reproduction_vector(cs, "1")
 
 
-square, spec = chamfered_square(degree=3)
-dom = assemble_trimmed_domain(square, spec)
+dom = chamfered_square(degree=3)
 cs = build_coupled_space(dom.with_segments(2, 2, 1))
 print("chamfered square: %d patches, 1 center" % len(dom.patches))
 print("  area %.12f (exact %.12f)" % (area(cs), 1 - 0.5 * 0.4 * 0.4))
 
-square, spec = square_with_hole(degree=3)
-dom = assemble_trimmed_domain(square, spec)
+dom = square_with_hole(degree=3)
 cs = build_coupled_space(dom.with_segments(2, 2, 1))
 outer = [i for i in dom.interfaces if i.kind == "outer"]
 print("\nsquare with interior hole: %d patches, %d centers, %d straight cut interfaces"

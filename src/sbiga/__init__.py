@@ -39,6 +39,6 @@ from .plate import (
     error_norms,
 )
 from .stabilize import build_combined_space
-from .trim import split_curve, TrimSpec, assemble_trimmed_domain
+from .trim import split_curve, star_blocks
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from . import models
 from .coupling import build_coupled_space, verify_asg1, asg1_coefficients, c1_jump_report, reproduction_vector
 from .errors import ConfigError, GeometryError
 from .geometry import ESSENTIAL_LAYERS, apply_bc_tags, locate_point
-from .trim import assemble_trimmed_domain
 from .plate import (
     LoadSpec,
     PlateMaterial,
@@ -65,12 +64,6 @@ CSV_COLUMNS = [
 _BUILTIN_EXACT = {"cos2_square": cos2_square}
 
 
-def _trimmed(builder):
-    """Builder of the trimmed domain of a (square, TrimSpec) model, with the
-    model's signature."""
-    return functools.wraps(builder)(lambda **params: assemble_trimmed_domain(*builder(**params)))
-
-
 _GEOMETRY_BUILDERS = {
     "square4": models.square4,
     "disk4": models.disk4,
@@ -78,8 +71,8 @@ _GEOMETRY_BUILDERS = {
     "two_blocks_square": models.two_blocks_square,
     "perforated_disk": models.perforated_disk,
     "l_bracket": models.l_bracket,
-    "chamfered_square": _trimmed(models.chamfered_square),
-    "square_with_hole": _trimmed(models.square_with_hole),
+    "chamfered_square": models.chamfered_square,
+    "square_with_hole": models.square_with_hole,
 }
 
 

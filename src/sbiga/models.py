@@ -1,12 +1,19 @@
 """Canonical SB multipatch geometries used by demos, configs and tests.
 
-Boundary loops run with the interior on their right (det J > 0); all blocks
-use q(xi) = xi (singular centers) unless stated otherwise.
+A builder returns a domain, or (domain, info) when it names patch groups
+(``perforated_disk`` and ``l_bracket``).  Boundary loops run with the
+interior on their right (det J > 0); all blocks use q(xi) = xi (singular
+centers).  The trimmed and multi-block builders split curves with
+:func:`~sbiga.trim.split_curve` and hand their block loops to
+:func:`~sbiga.trim.star_blocks`, which checks that each loop closes and each
+patch is star-shaped.
 """
 
 import numpy as np
 
-from .geometry import SBPatch, line_curve, circle_arc, make_domain
+from .geometry import NurbsCurve, SBPatch, line_curve, circle_arc, make_domain
+from .splines import KnotVector
+from .trim import split_curve, star_blocks
 
 __all__ = [
     "square4",
@@ -15,7 +22,6 @@ __all__ = [
     "two_blocks_square",
     "chamfered_square",
     "square_with_hole",
-    "square_with_circle_hole",
     "perforated_disk",
     "l_bracket",
 ]
@@ -85,36 +91,22 @@ def two_blocks_square(degree=3, bc=None):
 
 
 def chamfered_square(degree=3):
-    """Trim spec for the unit square with one corner cut off by a straight
-    trimming curve (two boundary intersections -> 5-patch block)."""
-    from .trim import TrimSpec
-
+    """Unit square with one corner cut off by a straight trimming curve from
+    (0.6, 0) to (1, 0.4): one star block of five patches."""
+    left, top, right, bottom = _rect_loop((0, 0), (1, 1), degree)
     trim = line_curve((0.6, 0.0), (1.0, 0.4), degree)
-    blocks = [
-        {
-            "center": (0.4, 0.5),
-            "loop": [
-                ("boundary", 0, 0, False),   # (0,0) -> (0,1)
-                ("boundary", 1, 0, False),   # (0,1) -> (1,1)
-                ("boundary", 2, 0, False),   # (1,1) -> (1,0.4)
-                ("trim", 0, True),           # (1,0.4) -> (0.6,0)
-                ("boundary", 3, 1, False),   # (0.6,0) -> (0,0)
-            ],
-        }
+    loop = [
+        left,
+        top,
+        split_curve(right, [0.6])[0],    # (1,1) -> (1,0.4)
+        trim.reversed_curve(),           # (1,0.4) -> (0.6,0)
+        split_curve(bottom, [0.4])[1],   # (0.6,0) -> (0,0)
     ]
-    spec = TrimSpec(
-        trim_curve=trim,
-        intersections=[(3, 0.4, 0.0), (2, 0.6, 1.0)],
-        blocks=blocks,
-    )
-    square = make_domain([SBPatch(c, (0.5, 0.5)) for c in _rect_loop((0, 0), (1, 1), degree)])
-    return square, spec
+    return star_blocks([((0.4, 0.5), loop)])[0]
 
 
 def _polyline_loop(vertices, degree):
     """Closed polyline as one degree-p curve with C0 corner knots."""
-    from .splines import KnotVector
-
     verts = [np.asarray(v, dtype=float) for v in vertices]
     ne = len(verts)
     g = np.linspace(0.0, 1.0, degree + 1)
@@ -133,91 +125,29 @@ def _polyline_loop(vertices, degree):
 
 
 def square_with_hole(degree=3, half_diagonal=0.15):
-    """Trim spec: unit square with an interior diamond hole (a closed
-    trimming loop), divided by two horizontal cut lines into two star
-    blocks with straight inter-block interfaces."""
-    from .geometry import NurbsCurve
-    from .trim import TrimSpec
-
+    """Unit square with an interior diamond hole (a closed trimming loop),
+    divided by two horizontal cut lines into two star blocks with straight
+    inter-block interfaces."""
     d = half_diagonal
     R, T, L, B = (0.5 + d, 0.5), (0.5, 0.5 + d), (0.5 - d, 0.5), (0.5, 0.5 - d)
     pts, kv = _polyline_loop([R, T, L, B], degree)
-    trim = NurbsCurve(kv, pts)
-    blocks = [
-        {
-            "center": (0.5, 0.85),
-            "loop": [
-                ("boundary", 0, 1, False),        # (0,0.5) -> (0,1)
-                ("boundary", 1, 0, False),        # (0,1) -> (1,1)
-                ("boundary", 2, 0, False),        # (1,1) -> (1,0.5)
-                ("line", (1.0, 0.5), R),
-                ("trim", 0, False),               # R -> T
-                ("trim", 1, False),               # T -> L
-                ("line", L, (0.0, 0.5)),
-            ],
-        },
-        {
-            "center": (0.5, 0.15),
-            "loop": [
-                ("boundary", 0, 0, False),        # (0,0) -> (0,0.5)
-                ("line", (0.0, 0.5), L),
-                ("trim", 2, False),               # L -> B
-                ("trim", 3, False),               # B -> R
-                ("line", R, (1.0, 0.5)),
-                ("boundary", 2, 1, False),        # (1,0.5) -> (1,0)
-                ("boundary", 3, 0, False),        # (1,0) -> (0,0)
-            ],
-        },
-    ]
-    spec = TrimSpec(
-        trim_curve=trim,
-        trim_splits=[0.25, 0.5, 0.75],
-        boundary_splits=[(0, 0.5), (2, 0.5)],
-        blocks=blocks,
-    )
-    square = make_domain([SBPatch(c, (0.5, 0.5)) for c in _rect_loop((0, 0), (1, 1), degree)])
-    return square, spec
-
-
-def square_with_circle_hole(degree=3, r=0.15, dist=0.32):
-    """Trim spec: unit square minus a circular hole as four quarter-ring
-    star blocks (diagonal cut lines to the square corners)."""
-    from .trim import TrimSpec
-
-    H = np.array([0.5, 0.5])
-    s = 1.0 / np.sqrt(2.0)
-    corner = {0: (1.0, 1.0), 1: (0.0, 1.0), 2: (0.0, 0.0), 3: (1.0, 0.0)}
-    side = {0: ("boundary", 2, 0, False), 1: ("boundary", 1, 0, False),
-            2: ("boundary", 0, 0, False), 3: ("boundary", 3, 0, False)}
-    loops = []
-    for k in range(4):
-        ang = 0.5 * np.pi * k
-        rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        Ap = H + rot @ np.array([r * s, r * s])
-        Am = H + rot @ np.array([r * s, -r * s])
-        arc = circle_arc(H, r, ang - 0.25 * np.pi, ang + 0.25 * np.pi, degree)
-        loops.append(
-            {
-                "center": tuple(H + rot @ np.array([dist, 0.0])),
-                "loop": [
-                    ("curve", arc, False),                       # Am -> Ap
-                    ("line", tuple(Ap), corner[k]),
-                    side[k],                                     # corner[k] -> corner[k-1]
-                    ("line", corner[(k - 1) % 4], tuple(Am)),
-                ],
-            }
-        )
-    spec = TrimSpec(blocks=loops)
-    square = make_domain([SBPatch(c, (0.5, 0.5)) for c in _rect_loop((0, 0), (1, 1), degree)])
-    return square, spec
+    rt, tl, lb, br = split_curve(NurbsCurve(kv, pts), [0.25, 0.5, 0.75])
+    left, top, right, bottom = _rect_loop((0, 0), (1, 1), degree)
+    left_lo, left_hi = split_curve(left, [0.5])
+    right_hi, right_lo = split_curve(right, [0.5])
+    upper = [left_hi, top, right_hi, line_curve((1.0, 0.5), R, degree), rt, tl,
+             line_curve(L, (0.0, 0.5), degree)]
+    lower = [left_lo, line_curve((0.0, 0.5), L, degree), lb, br,
+             line_curve(R, (1.0, 0.5), degree), right_lo, bottom]
+    return star_blocks([((0.5, 0.85), upper), ((0.5, 0.15), lower)])[0]
 
 
 def _hole_ring_blocks(H, r, w, degree, dist):
     """Four star blocks covering the square ring [H +- w] minus the hole of
     radius r: one per side, centers at distance ``dist`` from H.
 
-    Returns (blocks, arc patch positions): blocks as (center, curves) with
-    the arc always the first curve of each block.
+    Returns the blocks as (center, curves) pairs, the arc always the first
+    curve of each block.
     """
     H = np.asarray(H, dtype=float)
     s = 1.0 / np.sqrt(2.0)
@@ -270,21 +200,12 @@ def perforated_disk(degree=3, R=1.0, hole_r=0.05, hole_d=0.4, ring_w=0.1):
     """Simply supported disk with four trimmed holes on the axes (25 star
     blocks).  Returns (domain, info) with info listing rim and hole arc
     patch indices."""
-    patches = []
-    info = {"rim_arcs": [], "hole_arcs": []}
-
-    def add_block(center, curves, arc_tag=None):
-        base = len(patches)
-        for ci, c in enumerate(curves):
-            patches.append(SBPatch(c, center))
-            if arc_tag is not None and ci == 0:
-                info[arc_tag].append(base + ci)
-
     holes = [np.array([hole_d, 0.0]), np.array([0.0, hole_d]),
              np.array([-hole_d, 0.0]), np.array([0.0, -hole_d])]
+    blocks = []
     for H in holes:
-        for center, curves in _hole_ring_blocks(H, hole_r, ring_w, degree, 0.08):
-            add_block(center, curves, arc_tag="hole_arcs")
+        blocks += _hole_ring_blocks(H, hole_r, ring_w, degree, 0.08)
+    nhole = len(blocks)
 
     w = ring_w
     d = hole_d
@@ -294,9 +215,9 @@ def perforated_disk(degree=3, R=1.0, hole_r=0.05, hole_d=0.4, ring_w=0.1):
     curves = [
         line_curve(order[i], order[(i + 1) % 8], degree) for i in range(8)
     ]
-    add_block(np.zeros(2), curves)
+    blocks.append((np.zeros(2), curves))
 
-    # outer blocks: 4 axis + 4 diagonal
+    # outer blocks: 4 axis + 4 diagonal, each with a rim arc first
     a_in = np.array([d + w, w])     # inner corner of an axis block, +x hole
     theta = np.arctan2(a_in[1], a_in[0])
     for k in range(4):
@@ -316,7 +237,7 @@ def perforated_disk(degree=3, R=1.0, hole_r=0.05, hole_d=0.4, ring_w=0.1):
             line_curve(Sm, Sp, degree),
             line_curve(Sp, Ep, degree),
         ]
-        add_block(T((0.5 * (d + w + R), 0.0)), curves, arc_tag="rim_arcs")
+        blocks.append((T((0.5 * (d + w + R), 0.0)), curves))
 
         # diagonal block between axis direction k and k+1
         Fp = T(R * np.array([np.cos(0.5 * np.pi - theta), np.sin(0.5 * np.pi - theta)]))
@@ -328,47 +249,29 @@ def perforated_disk(degree=3, R=1.0, hole_r=0.05, hole_d=0.4, ring_w=0.1):
             line_curve(T((w, d - w)), T((w, d + w)), degree),
             line_curve(T((w, d + w)), Fp, degree),
         ]
-        add_block(T((0.55 / np.sqrt(2.0), 0.55 / np.sqrt(2.0))), curves, arc_tag="rim_arcs")
+        blocks.append((T((0.55 / np.sqrt(2.0), 0.55 / np.sqrt(2.0))), curves))
 
-    return make_domain(patches), info
+    domain, first = star_blocks(blocks)
+    return domain, {"rim_arcs": first[nhole + 1:], "hole_arcs": first[:nhole]}
 
 
 def l_bracket(degree=3, hole_r=0.15):
     """L-shaped bracket (20 star blocks): vertical leg [0,1]x[0,3] with two
     clamped holes, horizontal leg [1,3]x[0,1], line load on the right edge.
     Returns (domain, info)."""
-    patches = []
-    info = {"hole_arcs": [], "load_edges": []}
-
-    def add_block(center, curves, arc_tag=None, load_index=None):
-        base = len(patches)
-        for ci, c in enumerate(curves):
-            patches.append(SBPatch(c, center))
-            if arc_tag is not None and ci == 0:
-                info[arc_tag].append(base + ci)
-            if load_index is not None and ci == load_index:
-                info["load_edges"].append(base + ci)
-
     w = 0.3
+    blocks = []
+    hole_blocks = []
     for Hy in (0.5, 2.5):
-        H = np.array([0.5, Hy])
-        for center, curves in _hole_ring_blocks(H, hole_r, w, degree, 0.24):
-            add_block(center, curves, arc_tag="hole_arcs")
-        lo = (0.0, Hy - 0.5)
-        hi = (1.0, Hy + 0.5)
-        ilo = (0.2, Hy - w)
-        ihi = (0.8, Hy + w)
-        for center, curves in _frame_blocks(lo, hi, ilo, ihi, degree):
-            add_block(center, curves)
-
-    for lo, hi in (((0.0, 1.0), (1.0, 1.5)), ((0.0, 1.5), (1.0, 2.0))):
-        add_block(
-            (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), _rect_loop(lo, hi, degree)
+        hole_blocks += range(len(blocks), len(blocks) + 4)
+        blocks += _hole_ring_blocks(np.array([0.5, Hy]), hole_r, w, degree, 0.24)
+        blocks += _frame_blocks((0.0, Hy - 0.5), (1.0, Hy + 0.5), (0.2, Hy - w), (0.8, Hy + w), degree)
+    # two squares of the vertical leg, then the horizontal leg
+    for lo, hi in (((0.0, 1.0), (1.0, 1.5)), ((0.0, 1.5), (1.0, 2.0)),
+                   ((1.0, 0.0), (2.0, 1.0)), ((2.0, 0.0), (3.0, 1.0))):
+        blocks.append(
+            ((0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), _rect_loop(lo, hi, degree))
         )
-    for k, (lo, hi) in enumerate((((1.0, 0.0), (2.0, 1.0)), ((2.0, 0.0), (3.0, 1.0)))):
-        add_block(
-            (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])),
-            _rect_loop(lo, hi, degree),
-            load_index=(2 if k == 1 else None),
-        )
-    return make_domain(patches), info
+    domain, first = star_blocks(blocks)
+    # the load is on the right edge of the last square (loop index 2)
+    return domain, {"hole_arcs": [first[b] for b in hole_blocks], "load_edges": [first[-1] + 2]}

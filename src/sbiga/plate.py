@@ -402,11 +402,3 @@ def error_norms(solution, exact, quad=None):
         l2 += np.sum(w * (uh - ue) ** 2)
         h2 += np.sum(w * ((uh11 - e11) ** 2 + (uh22 - e22) ** 2 + 2.0 * (uh12 - e12) ** 2))
     return ErrorReport(np.sqrt(h2), np.sqrt(l2))
-
-
-def observed_orders(hs, errs):
-    """Consecutive log-ratio convergence orders."""
-    hs = np.asarray(hs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    return np.log(errs[:-1] / errs[1:]) / np.log(hs[:-1] / hs[1:])
-

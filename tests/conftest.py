@@ -120,18 +120,13 @@ def example_spaces():
         square_with_hole,
         two_blocks_square,
     )
-    from sbiga.trim import assemble_trimmed_domain
 
     spaces = {}
     spaces["square"] = build_coupled_space(square4(degree=3).with_segments(4, 4, 1))
     spaces["disk"] = build_coupled_space(disk4(degree=3).with_segments(2, 2, 1))
     spaces["two_blocks"] = build_coupled_space(two_blocks_square(degree=3).with_segments(2, 2, 1))
-    spaces["chamfered"] = build_coupled_space(
-        assemble_trimmed_domain(*chamfered_square(degree=3)).with_segments(2, 2, 1)
-    )
-    spaces["diamond_hole"] = build_coupled_space(
-        assemble_trimmed_domain(*square_with_hole(degree=3)).with_segments(2, 2, 1)
-    )
+    spaces["chamfered"] = build_coupled_space(chamfered_square(degree=3).with_segments(2, 2, 1))
+    spaces["diamond_hole"] = build_coupled_space(square_with_hole(degree=3).with_segments(2, 2, 1))
     spaces["stabilized_square"] = build_combined_space(
         square4(degree=3), 4, 1
     )

@@ -28,8 +28,9 @@ convention at t = 1, the knot-vector queries :func:`span_index` and
 :func:`regularity`, the rank of a Gram matrix by pivoted elimination
 (:func:`gram_rank`), the geometry of one radial span row of the patch
 tables (:func:`row_geometry`, :func:`row_physical`), the quadrature area
-of a domain, a least-squares convergence order and a reader of the VTK
-files that ``sbiga.vtkio`` writes.
+of a domain, a least-squares convergence order, a reader of the VTK
+files that ``sbiga.vtkio`` writes and one more trimmed geometry
+(:func:`square_with_circle_hole`).
 """
 
 import numpy as np
@@ -38,9 +39,10 @@ from scipy.linalg import qr, solve_triangular
 
 from sbiga.coupling import _RANK_GAP
 from sbiga.errors import CouplingError, GeometryError, SplineError
-from sbiga.geometry import ESSENTIAL_LAYERS, NurbsCurve, make_domain, sb_geometry
+from sbiga.geometry import ESSENTIAL_LAYERS, NurbsCurve, circle_arc, line_curve, make_domain, sb_geometry
 from sbiga.space import _pullback
 from sbiga.splines import KnotVector
+from sbiga.trim import star_blocks
 
 
 def _ratio(num, den):
@@ -567,3 +569,25 @@ def read_structured_grid(path):
         out["point_data"][name] = vals
         j += 2 + npts
     return out
+
+
+def square_with_circle_hole(degree=3, r=0.15, dist=0.32):
+    """Unit square minus a circular hole about its middle: four quarter-ring
+    star blocks, with diagonal cut lines to the square corners."""
+    H = np.array([0.5, 0.5])
+    s = 1.0 / np.sqrt(2.0)
+    corners = [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0)]
+    blocks = []
+    for k in range(4):
+        ang = 0.5 * np.pi * k
+        rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+        Ap = H + rot @ np.array([r * s, r * s])
+        Am = H + rot @ np.array([r * s, -r * s])
+        loop = [
+            circle_arc(H, r, ang - 0.25 * np.pi, ang + 0.25 * np.pi, degree),   # Am -> Ap
+            line_curve(Ap, corners[k], degree),
+            line_curve(corners[k], corners[k - 1], degree),                     # a side of the square
+            line_curve(corners[k - 1], Am, degree),
+        ]
+        blocks.append((H + rot @ np.array([dist, 0.0]), loop))
+    return star_blocks(blocks)[0]

@@ -303,12 +303,11 @@ class TestJumpMatrixOracle:
     def test_quadratic_form(self, case):
         from sbiga.models import square_with_hole
         from sbiga.stabilize import build_combined_space
-        from sbiga.trim import assemble_trimmed_domain
 
         if case == "fan2":
             cs = build_coupled_space(fan2(degree=3).with_segments(2, 2, 1))
         elif case == "trimmed_hole":
-            dom = assemble_trimmed_domain(*square_with_hole(degree=3)).with_segments(2, 2, 1)
+            dom = square_with_hole(degree=3).with_segments(2, 2, 1)
             assert any(itf.kind == "outer" for itf in dom.interfaces)
             cs = build_coupled_space(dom)
         else:

@@ -141,6 +141,9 @@ class TestCaseConfig:
             "configs/perforated_disk.json": disk,
             "configs/square_pointload.json": pointload,
             "configs/square_smooth.json": (3, [4, 6, 8, 12, 16], 1.0, 0.0, square, [], [], cos2, None, None),
+            "configs/square_with_hole.json": (
+                3, [2, 4], 1.0, 0.3, {"simply_supported": [0, 1, 2, 7, 12, 13], "free": [4, 5, 9, 10]},
+                [], [], 1.0, None, [0.25, 0.25]),
             "perfbench/configs/perforated_disk_s2.json": (3, [2]) + disk[2:8] + (None, [0.0, 0.0]),
             "perfbench/configs/square_pointload_p3.json": (3, [4, 10]) + pointload[2:8] + (None, [0.0, 0.0]),
             "perfbench/configs/square_smooth_p3.json": (3, [4, 6, 8, 12, 16], 1.0, 0.0, square, [], [], cos2, None, None),
@@ -334,6 +337,9 @@ class TestCli:
     @pytest.mark.parametrize("geometry,tag", [
         ({"builtin": "square_with_hole", "params": {"half_diagonal": 0.49}}, "not-star-shaped"),
         ({"builtin": "square4", "params": {"offset": [0.9, 0]}}, "topology-error"),
+        # hole arcs that fold their patches (det J / xi < 0 inside the patch)
+        ({"builtin": "l_bracket", "params": {"hole_r": 0.18}}, "not-star-shaped"),
+        ({"builtin": "perforated_disk", "params": {"hole_r": 0.06}}, "not-star-shaped"),
     ])
     def test_invalid_geometry_exit_code_2(self, tmp_path, geometry, tag):
         doc = dict(SMOOTH, geometry=geometry)

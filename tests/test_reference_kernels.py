@@ -14,11 +14,11 @@ from reference_kernels import (
     interfaces_pairwise,
     refine_to_segments_per_knot,
     regularity,
+    square_with_circle_hole,
     with_segments_detected,
 )
-from sbiga import models
 from sbiga.coupling import build_m0
-from sbiga.harness import _GEOMETRY_BUILDERS, CaseConfig, _trimmed
+from sbiga.harness import _GEOMETRY_BUILDERS, CaseConfig
 from sbiga.space import UncoupledSpace
 from sbiga.splines import KnotVector, ders_basis, insert_knot, make_open_knot_vector
 from sbiga.stabilize import combined_uncoupled_space
@@ -117,7 +117,7 @@ class TestConfigLevels:
                                  with_segments_detected(base, s, s, cfg.r))
 
 
-_BUILDERS = dict(_GEOMETRY_BUILDERS, square_with_circle_hole=_trimmed(models.square_with_circle_hole))
+_BUILDERS = dict(_GEOMETRY_BUILDERS, square_with_circle_hole=square_with_circle_hole)
 
 
 @pytest.mark.parametrize("name", sorted(_BUILDERS))

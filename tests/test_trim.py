@@ -3,12 +3,21 @@ import pytest
 
 from sbiga.errors import GeometryError
 from sbiga.geometry import SBPatch, circle_arc, line_curve, make_domain
-from sbiga.models import (
-    chamfered_square,
-    square_with_circle_hole,
-    square_with_hole,
-)
-from sbiga.trim import TrimSpec, assemble_trimmed_domain, split_curve
+from sbiga.models import chamfered_square, square_with_hole
+from sbiga.trim import split_curve, star_blocks
+
+
+def _chamfer_loop(degree, bottom_split=0.4):
+    """Boundary loop of the chamfered square: the right side split at the
+    trimming line's end (1, 0.4), the bottom at its start (0.6, 0) for
+    ``bottom_split`` 0.4."""
+    left = line_curve((0, 0), (0, 1), degree)
+    top = line_curve((0, 1), (1, 1), degree)
+    right = line_curve((1, 1), (1, 0), degree)
+    bottom = line_curve((1, 0), (0, 0), degree)
+    trim = line_curve((0.6, 0.0), (1.0, 0.4), degree)
+    return [left, top, split_curve(right, [0.6])[0], trim.reversed_curve(),
+            split_curve(bottom, [bottom_split])[1]]
 
 
 class TestSplitCurve:
@@ -52,60 +61,50 @@ class TestSplitCurve:
 
 
 class TestAssembleTrimmedDomain:
+    """Trimmed domains assembled from split curves by ``star_blocks``."""
+
     def test_chamfered_square_is_five_patches(self):
-        square, spec = chamfered_square(degree=3)
-        dom = assemble_trimmed_domain(square, spec)
+        dom = chamfered_square(degree=3)
         assert len(dom.patches) == 5
         assert len(dom.groups) == 1
 
     def test_trivial_trim_keeps_domain(self):
-        # a "trim" that keeps every original curve reproduces the square
+        # a block that keeps every original curve reproduces the square
         degree = 2
-        loop = [("boundary", cid, 0, False) for cid in range(4)]
-        spec = TrimSpec(blocks=[{"center": (0.5, 0.5), "loop": loop}])
-        square = make_domain(
-            [
-                SBPatch(c, (0.5, 0.5))
-                for c in (
-                    line_curve((0, 0), (0, 1), degree),
-                    line_curve((0, 1), (1, 1), degree),
-                    line_curve((1, 1), (1, 0), degree),
-                    line_curve((1, 0), (0, 0), degree),
-                )
-            ]
-        )
-        dom = assemble_trimmed_domain(square, spec)
+        loop = [
+            line_curve((0, 0), (0, 1), degree),
+            line_curve((0, 1), (1, 1), degree),
+            line_curve((1, 1), (1, 0), degree),
+            line_curve((1, 0), (0, 0), degree),
+        ]
+        square = make_domain([SBPatch(c, (0.5, 0.5)) for c in loop])
+        dom, first = star_blocks([((0.5, 0.5), loop)])
+        assert first == [0]
         assert len(dom.patches) == 4
         for pa, pb in zip(dom.patches, square.patches):
             assert np.allclose(pa.curve.points, pb.curve.points)
 
     def test_open_loop_rejected(self):
         degree = 2
-        loop = [("line", (0.0, 0.0), (1.0, 0.0)), ("line", (1.0, 0.5), (0.0, 0.0))]
-        spec = TrimSpec(blocks=[{"center": (0.5, 0.1), "loop": loop}])
-        square = make_domain([SBPatch(line_curve((0, 1), (1, 1), degree), (0.5, 0.0))])
+        loop = [line_curve((0.0, 0.0), (1.0, 0.0), degree), line_curve((1.0, 0.5), (0.0, 0.0), degree)]
         with pytest.raises(GeometryError, match="open"):
-            assemble_trimmed_domain(square, spec)
+            star_blocks([((0.5, 0.1), loop)])
 
     def test_not_star_shaped_rejected(self):
-        square, spec = chamfered_square(degree=2)
-        spec.blocks[0]["center"] = (0.95, 0.05)  # inside the cut-off corner
-        with pytest.raises(GeometryError):
-            assemble_trimmed_domain(square, spec)
+        # the center lies inside the cut-off corner
+        with pytest.raises(GeometryError) as exc:
+            star_blocks([((0.95, 0.05), _chamfer_loop(2))])
+        assert exc.value.tag == "not-star-shaped"
 
     def test_intersection_consistency_enforced(self):
-        square, spec = chamfered_square(degree=3)
-        bad = TrimSpec(
-            trim_curve=spec.trim_curve,
-            intersections=[(3, 0.7, 0.0)],  # gamma_3(0.7) != gamma_T(0)
-            blocks=spec.blocks,
-        )
-        with pytest.raises(GeometryError):
-            assemble_trimmed_domain(square, bad)
+        # a split at the wrong parameter leaves the loop open: gamma_3(0.7)
+        # is (0.3, 0), not the trimming line's start (0.6, 0)
+        with pytest.raises(GeometryError, match="open") as exc:
+            star_blocks([((0.4, 0.5), _chamfer_loop(3, bottom_split=0.7))])
+        assert exc.value.tag == "topology-error"
 
     def test_interior_loop_two_blocks_straight_interfaces(self):
-        square, spec = square_with_hole(degree=3)
-        dom = assemble_trimmed_domain(square, spec)
+        dom = square_with_hole(degree=3)
         assert len(dom.groups) == 2
         outer = [i for i in dom.interfaces if i.kind == "outer"]
         assert len(outer) == 2
@@ -118,17 +117,15 @@ class TestTrimmedAreas:
         from sbiga.coupling import build_coupled_space
         from reference_kernels import domain_area
 
-        square, spec = chamfered_square(degree=3)
-        dom = assemble_trimmed_domain(square, spec)
+        dom = chamfered_square(degree=3)
         cs = build_coupled_space(dom.with_segments(2, 2, 1))
         assert domain_area(cs) == pytest.approx(1.0 - 0.5 * 0.4 * 0.4, rel=1e-12)
 
     def test_circle_hole_area(self):
         from sbiga.coupling import build_coupled_space
-        from reference_kernels import domain_area
+        from reference_kernels import domain_area, square_with_circle_hole
 
-        square, spec = square_with_circle_hole(degree=3, r=0.15)
-        dom = assemble_trimmed_domain(square, spec)
+        dom = square_with_circle_hole(degree=3, r=0.15)
         cs = build_coupled_space(dom.with_segments(2, 2, 1))
         exact = 1.0 - np.pi * 0.15**2
         assert domain_area(cs, quad=8) == pytest.approx(exact, rel=1e-6)
@@ -137,7 +134,6 @@ class TestTrimmedAreas:
         from sbiga.coupling import build_coupled_space
         from reference_kernels import domain_area
 
-        square, spec = square_with_hole(degree=3, half_diagonal=0.15)
-        dom = assemble_trimmed_domain(square, spec)
+        dom = square_with_hole(degree=3, half_diagonal=0.15)
         cs = build_coupled_space(dom.with_segments(2, 2, 1))
         assert domain_area(cs) == pytest.approx(1.0 - 2 * 0.15**2, rel=1e-12)
