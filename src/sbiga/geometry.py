@@ -610,13 +610,11 @@ def apply_bc_tags(domain, bc):
 
 def validate_star_shape(patch, samples=400):
     """min over samples of detJ/xi (c2=0) resp. detJ/q(xi); negative means
-    the patch is not star-shaped w.r.t. its scaling center."""
-    rng = np.random.default_rng(7)
-    zs = rng.uniform(0.0, 1.0, samples)
-    xs = rng.uniform(1e-3, 1.0, samples)
-    det = patch.geom_eval(zs, xs)["det"]
-    denom = xs if patch.c2 == 0.0 else patch.q(xs)
-    return float(np.min(det / denom))
+    the patch is not star-shaped w.r.t. its scaling center.  Both depend on
+    zeta only (det J = q c1 (gamma - x0) x gamma'): taken at xi = 1 on
+    ``samples`` equispaced zeta, both ends included."""
+    det = patch.geom_eval(np.linspace(0.0, 1.0, samples), 1.0)["det"]
+    return float(np.min(det if patch.c2 == 0.0 else det / patch.q(1.0)))
 
 
 def locate_point(domain, xy, tol=1e-9):

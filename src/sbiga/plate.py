@@ -152,39 +152,70 @@ def assemble_stiffness(cspace, material, quad=None):
 
 
 def _uncoupled_stiffness(cspace, material, quad=None):
-    """Atilde on the uncoupled space, sparse.
+    """Atilde on the uncoupled space, sparse, for the integrand h^T C h,
+    h = (H11, H22, H12), C = D [[1, nu, 0], [nu, 1, 0], [0, 0, 2 (1 - nu)]].
 
-    The element matrices of one radial span row are three batched GEMMs
-    over the quadrature axis, with wD = D w |det J| per point:
+    On the first radial span, where the center functions' energy forms by
+    cancellation, and on every span of a patch with S2 <= 2, the element
+    matrices of a radial span row are three batched GEMMs over the
+    quadrature axis, with wD = D w |det J| per point:
     ((H11 + nu H22) wD) H11^T + ((H22 + nu H11) wD) H22^T
-    + (2 (1 - nu) H12 wD) H12^T, the integrand
-    D [(1-nu) Hess(u):Hess(v) + nu Lap(u) Lap(v)] regrouped by the right
-    factor.
+    + (2 (1 - nu) H12 wD) H12^T.  On spans 2..S2 a block pair gets
+    sum_{t,u} Z_tu (x) X_tu (:func:`_kronecker_entries`).
     """
     D, nu = material.D, material.nu
-    uspace = cspace.uspace
     nq1, nq2 = _quad_counts(cspace, quad)
-    rows, cols, vals = [], [], []
+    parts = []
     for m in range(len(cspace.domain.patches)):
-        tab = uspace.quad_tables(m, nq1, nq2)
-        patch_geo = tab.patch_geometry()
-        for s2 in range(tab.S2):
+        tab = cspace.uspace.quad_tables(m, nq1, nq2)
+        kron = tab.S2 > 2
+        patch_geo, *sep = tab.separable_tables() if kron else (tab.patch_geometry(),)
+        for s2 in range(1 if kron else tab.S2):
             IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
             wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
             loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
             loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
             loc += (2.0 * (1.0 - nu) * H12 * wD) @ H12.transpose(0, 2, 1)
             K = IDX.shape[1]
-            rows.append(np.repeat(IDX, K, axis=1).ravel())
-            cols.append(np.tile(IDX, (1, K)).ravel())
-            vals.append(loc.ravel())
-    vals = np.concatenate(vals)
+            parts.append((np.repeat(IDX, K, axis=1).ravel(), np.tile(IDX, (1, K)).ravel(), loc.ravel()))
+        if kron:
+            wz, wx, blocks = sep
+            CF = [np.stack([F[..., 0, :] + nu * F[..., 1, :], F[..., 1, :] + nu * F[..., 0, :],
+                            2.0 * (1.0 - nu) * F[..., 2, :]], axis=-2) * (D * wz)[:, None, None, :]
+                  for _, _, _, _, F, _, _ in blocks]
+            parts += _kronecker_entries(blocks, CF, wx)
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     if not np.all(np.isfinite(vals)):
         raise AssemblyError("nonfinite stiffness entry", tag="assembly-failure")
-    return sp.coo_matrix(
-        (vals, (np.concatenate(rows), np.concatenate(cols))),
-        shape=(cspace.N, cspace.N),
-    ).tocsc()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(cspace.N, cspace.N)).tocsc()
+
+
+def _kronecker_entries(blocks, CF, wx):
+    """COO (rows, cols, vals) of sum_{t,u} Z_tu (x) X_tu per block pair
+    (a, b) of a patch's :meth:`~sbiga.space._PatchTables.separable_tables`,
+    with CF[a] = C F_a wz: Z_tu = sum CF_a[t] F_b[u], X_tu = sum G_a[t]
+    G_b[u] wx, where both 1D supports overlap.  einsum forms the values: a
+    threaded (nZ x 9)(9 x nX) GEMM changed some with the thread count."""
+    for (sa, n1a, nja, Ia, _, Ja, Ga), CFa in zip(blocks, CF):
+        WG = Ga * wx[:, None, :]
+        for sb, n1b, njb, Ib, Fb, Jb, Gb in blocks:
+            iz, kz, Z = _span_grams(Ia, CFa, Ib, Fb, n1a, n1b)
+            jx, lx, X = _span_grams(Ja, WG, Jb, Gb, nja, njb)
+            yield (np.add.outer(sa + iz * nja, jx).ravel(),
+                   np.add.outer(sb + kz * njb, lx).ravel(), np.einsum("it,jt->ij", Z, X).ravel())
+
+
+def _span_grams(Ia, Pa, Ib, Pb, na, nb):
+    """(r, c, M[r, c]) where the span windows Ia (S, ka) and Ib (S, kb)
+    overlap, of M_tu = sum_s Pa[t, s] Pb[u, s]^T (na, nb) for Pa (3, S, ka,
+    ...), Pb (3, S, kb, ...): small GEMMs summed span by span, since one
+    product over all nodes split its inner axis by BLAS thread."""
+    Pa, Pb = (P.reshape(P.shape[:3] + (-1,)) for P in (Pa, Pb))
+    E = Pa[:, None] @ Pb[None].swapaxes(-1, -2)
+    M = np.zeros((na + 1, nb + 1, 9))  # the last row and column take the padding
+    np.add.at(M, (Ia[:, :, None], Ib[:, None, :]), E.reshape((9,) + E.shape[2:]).transpose(1, 2, 3, 0))
+    r, c = np.nonzero(M[:na, :nb].any(axis=2))
+    return r, c, M[r, c]
 
 
 def assemble_load(cspace, loads, quad=None):
@@ -287,7 +318,7 @@ def _cond_estimate(A, lu):
                 break
         alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
         est = max(est, 2.0 * np.abs(lu.solve(alt)).sum() / (3 * n))
-    est *= spla.norm(A, 1)
+    est *= np.max(abs(A).T @ np.ones(n))  # ||A||_1 without a CSC -> CSR copy
     return est if np.isfinite(est) else np.inf
 
 

@@ -10,12 +10,13 @@ The array kernels :func:`~sbiga.splines.ders_basis` / ``nurbs_ders_basis``
 evaluate each block's tensor factors B_i(zeta) and R_j(xi): at points in
 :meth:`UncoupledSpace.parametric_eval` / ``physical_eval``, and at the Gauss
 nodes of a patch in :meth:`UncoupledSpace.quad_tables`, built once per Gauss
-order and kept on the space.  The stiffness, the load and the error norms
-take their geometry from one :func:`~sbiga.geometry.sb_geometry` call on the
-whole Gauss grid of a patch (:meth:`_PatchTables.patch_geometry`).  The
-element stiffness, whose basis index stays, expands the factors per radial
-span row to (S1, K, Q) Hessian tables, pulls them back with that row's
-columns of the patch geometry and integrates with batched matmuls.  The
+order and kept on the space.  Each assembly takes its geometry from one
+:func:`~sbiga.geometry.sb_geometry` call per patch.  The element stiffness
+of the first radial span row (of every row if S2 <= 2) expands the factors
+to (S1, K, Q) Hessian tables, pulls them back with that row's geometry and
+integrates with batched matmuls; past that row the SB map separates, and
+the stiffness sums Kronecker products of 1D matrices integrated span by
+span (:meth:`_PatchTables.separable_tables`).  The
 load and the error norms contract one weight or coefficient vector with
 dense 1D factors over the whole grid, Bz^T W Rx and Bz C Rx^T (sum
 factorization), with one pullback per patch.  All share :func:`_pullback`,
@@ -223,12 +224,8 @@ class UncoupledSpace:
         xt = []
         for blk in self.blocks[m]:
             jloc, D = blk.radial_window(Xnodes.ravel(), 2)
-            rows = []
-            for s in range(S2):
-                cols = jloc[s * nq2] >= 0
-                vals = D[s * nq2 : (s + 1) * nq2][:, :, cols].transpose(1, 2, 0)
-                rows.append((jloc[s * nq2, cols], np.ascontiguousarray(vals)))
-            xt.append(rows)
+            val = D.reshape(S2, nq2, 3, -1).transpose(2, 0, 3, 1)
+            xt.append((np.where(jloc[::nq2] >= 0, jloc[::nq2], blk.nj), np.ascontiguousarray(val)))
 
         return _PatchTables(self, m, Znodes, Zw, Xnodes, Xw, geom, zt, xt)
 
@@ -236,13 +233,15 @@ class UncoupledSpace:
 class _PatchTables:
     """Precomputed Gauss data for one patch.
 
-    Per block, zt holds the zeta factor Zv (S1, 3, kz, nq1) of every zeta
-    span and xt the radial factor Xv (3, kx, nq2) of every radial span row
-    (derivative orders 0..2 on the axis of length 3): the basis is their
-    tensor product.  The element stiffness, whose basis index stays,
-    expands them row by row to (S1, K, Q) arrays (Q = nq1*nq2,
-    q = q1*nq2 + q2).  Sums against one coefficient or weight vector use
-    the whole patch grid (S1*nq1, S2*nq2) and dense factors instead.
+    Per block, zt holds the active zeta functions Zidx (S1, kz) and their
+    factor Zv (S1, 3, kz, nq1) per zeta span, and xt the radial windows
+    J (S2, p+1) and their factor Xv (3, S2, p+1, nq2) per radial span
+    (derivative orders 0..2 on the axis of length 3; J = nj and Xv = 0
+    where a function lies outside the block): the basis is their tensor
+    product.  The element stiffness, whose basis index stays, expands them
+    row by row to (S1, K, Q) arrays (Q = nq1*nq2, q = q1*nq2 + q2).  Sums
+    against one coefficient or weight vector use the whole patch grid
+    (S1*nq1, S2*nq2) and dense factors instead.
     """
 
     def __init__(self, space, m, Znodes, Zw, Xnodes, Xw, geom, zt, xt):
@@ -270,9 +269,11 @@ class _PatchTables:
         S1, Q = self.S1, self.nq1 * self.nq2
         idx, parts = [], {k: [] for k in names}
         for b, blk in enumerate(self.blocks):
-            (Zidx, Zv), (jloc, Xv) = self.zt[b], self.xt[b][s2]
-            if len(jloc) == 0:
+            (Zidx, Zv), (J, Xv) = self.zt[b], self.xt[b]
+            cols = J[s2] < blk.nj
+            if not cols.any():
                 continue
+            jloc, Xv = J[s2, cols], Xv[:, s2, cols]
             flat = self.offsets[b] + Zidx[:, :, None] * blk.nj + jloc[None, None, :]
             idx.append(flat.reshape(S1, -1))
             for k in names:
@@ -302,6 +303,36 @@ class _PatchTables:
         geo["w"] = np.outer(self.Zw, self.Xw)
         return geo
 
+    def separable_tables(self):
+        """Factors of the SB-separable stiffness past radial span 1: the
+        Hessian of B_i R_j is sum_t F_t G_t, G_t = R_j/q^2, R_j'/q, R_j''
+        and F_t the :func:`_pullback` at q = 1 of B_i with radial input t,
+        and |det J| = q |det J(q=1)|.  Returns (geo, wz, wx, blocks): geo of
+        one sb_geometry call on the q of span row 0 and q = 1 (columns
+        0..nq2-1 and w are row 0); wz = w |det J(q=1)| (S1, nq1) and
+        wx = w q (S2-1, nq2) of spans 2..S2; per block (start, n1, nj, I, F,
+        J, G): its zeta windows I (S1, kz) with F (3, S1, kz, 3, nq1), axes
+        t and Hessian component (11, 22, 12), and its radial windows J of
+        spans 2..S2 as in ``xt`` with G (3, S2-1, p+1, nq2).
+        """
+        S1, nq1, nq2 = self.S1, self.nq1, self.nq2
+        q = np.append(self.patch.q(self.Xnodes[0]), 1.0)
+        geo = sb_geometry(*self.geom, q, np.full(q.shape, self.patch.c1), self.patch.x0)
+        unit = {k: v[:, nq2].reshape(S1, 1, nq1) for k, v in geo.items()}
+        geo["w"] = np.outer(self.Zw, self.Xw[0])
+        xq = self.patch.q(self.Xnodes[1:])[:, None, :]
+        blocks = []
+        for b, blk in enumerate(self.blocks):
+            I, Zv = self.zt[b]
+            B0, B1, B2 = Zv.transpose(1, 0, 2, 3)
+            O = np.zeros_like(B0)
+            A = {"D10": (B1, O, O), "D01": (O, B0, O), "D20": (B2, O, O), "D11": (O, B1, O), "D02": (O, O, B0)}
+            _, _, H = _pullback({k: np.stack(v) for k, v in A.items()}, unit)
+            J, R = self.xt[b][0][1:], self.xt[b][1][:, 1:]
+            G = np.stack([R[0] / xq**2, R[1] / xq, R[2]])
+            blocks.append((self.offsets[b], blk.n1, blk.nj, I, np.stack(H, axis=-2), J, G))
+        return geo, self.Zw * np.abs(unit["det"][:, 0]), self.Xw[1:] * xq[:, 0], blocks
+
     def block_tables(self):
         """Per block, its flat index range sl and its dense zeta and radial
         factors on the patch grid, Bz (3, S1*nq1, n1) and Rx (3, S2*nq2, nj),
@@ -312,10 +343,10 @@ class _PatchTables:
             Zidx, Zv = self.zt[b]
             Bz = np.zeros((3, S1 * nq1, blk.n1))
             Bz[:, rows, Zidx[:, :, None]] = Zv.transpose(1, 0, 2, 3)
-            Rx = np.zeros((3, self.S2 * nq2, blk.nj))
-            for s2, (jloc, Xv) in enumerate(self.xt[b]):
-                Rx[:, s2 * nq2 : (s2 + 1) * nq2, jloc] = Xv.transpose(0, 2, 1)
-            yield slice(self.offsets[b], self.offsets[b] + blk.size), Bz, Rx
+            J, Xv = self.xt[b]
+            Rx = np.zeros((3, self.S2 * nq2, blk.nj + 1))
+            Rx[:, np.arange(self.S2 * nq2).reshape(-1, 1, nq2), J[:, :, None]] = Xv
+            yield slice(self.offsets[b], self.offsets[b] + blk.size), Bz, np.ascontiguousarray(Rx[:, :, :-1])
 
     def field(self, c):
         """Value and physical Hessian of the field with flat coefficients c

@@ -27,7 +27,9 @@ independent side of some check: the scalar Cox-de Boor recursion
 convention at t = 1, the knot-vector queries :func:`span_index` and
 :func:`regularity`, the rank of a Gram matrix by pivoted elimination
 (:func:`gram_rank`), the geometry of one radial span row of the patch
-tables (:func:`row_geometry`, :func:`row_physical`), the quadrature area
+tables (:func:`row_geometry`, :func:`row_physical`), the stiffness with
+element GEMMs on every radial span row (:func:`gemm_uncoupled_stiffness`,
+the first-span arithmetic of ``plate._uncoupled_stiffness``), the quadrature area
 of a domain, a least-squares convergence order, a reader of the VTK
 files that ``sbiga.vtkio`` writes and one more trimmed geometry
 (:func:`square_with_circle_hole`).
@@ -534,6 +536,32 @@ def row_physical(tab, s2):
     geo = row_geometry(tab, s2)
     _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in geo.items()})
     return IDX, H11, H22, H12, geo
+
+
+def gemm_uncoupled_stiffness(cspace, material, quad=None):
+    """All-GEMM Atilde: the element matrices of every radial span row are
+    three batched GEMMs over the quadrature axis, with wD = D w |det J| per
+    point, as ``plate._uncoupled_stiffness`` forms them on the first span."""
+    D, nu = material.D, material.nu
+    nq1 = nq2 = quad or cspace.domain.p + 1
+    rows, cols, vals = [], [], []
+    for m in range(len(cspace.domain.patches)):
+        tab = cspace.uspace.quad_tables(m, nq1, nq2)
+        patch_geo = tab.patch_geometry()
+        for s2 in range(tab.S2):
+            IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
+            wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
+            loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
+            loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
+            loc += (2.0 * (1.0 - nu) * H12 * wD) @ H12.transpose(0, 2, 1)
+            K = IDX.shape[1]
+            rows.append(np.repeat(IDX, K, axis=1).ravel())
+            cols.append(np.tile(IDX, (1, K)).ravel())
+            vals.append(loc.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(cspace.N, cspace.N),
+    ).tocsc()
 
 
 def domain_area(cspace, quad=None):

@@ -465,16 +465,19 @@ for M in (cs.M1, assemble_stiffness(cs, cfg.material).tocsc()):
 
 
 def test_same_bits_under_any_blas_thread_count():
-    # M1 and A of the smooth square at s=16, built in fresh processes under
-    # one and two BLAS threads, hash the same (the global QR did not)
-    hashes = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", _HASH_SCRIPT, str(ROOT / "configs" / "square_smooth.json"), "16"],
-                             env=env, capture_output=True, text=True, check=True)
-        hashes.append(out.stdout.split())
-    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+    # M1 and A at s=16, built in fresh processes under one and two BLAS
+    # threads, hash the same (the global QR did not): on the smooth square
+    # and on the two-block stabilized p=5 space, whose Kronecker products
+    # are the largest
+    for config in ("configs/square_smooth.json", "perfbench/configs/square_stabilized_p5.json"):
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", _HASH_SCRIPT, str(ROOT / config), "16"],
+                                 env=env, capture_output=True, text=True, check=True)
+            hashes.append(out.stdout.split())
+        assert len(hashes[0]) == 2 and hashes[0] == hashes[1], config
 
 
 class TestCoupledSpace:

@@ -340,6 +340,8 @@ class TestCli:
         # hole arcs that fold their patches (det J / xi < 0 inside the patch)
         ({"builtin": "l_bracket", "params": {"hole_r": 0.18}}, "not-star-shaped"),
         ({"builtin": "perforated_disk", "params": {"hole_r": 0.06}}, "not-star-shaped"),
+        # a fold thinner than random samples find, at the end of a hole patch
+        ({"builtin": "l_bracket", "params": {"hole_r": 0.17}}, "not-star-shaped"),
     ])
     def test_invalid_geometry_exit_code_2(self, tmp_path, geometry, tag):
         doc = dict(SMOOTH, geometry=geometry)

@@ -7,7 +7,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from reference_kernels import assert_same_m0, domain_area, gram_rank, row_geometry, row_physical
+from reference_kernels import (
+    assert_same_bytes,
+    assert_same_m0,
+    domain_area,
+    gemm_uncoupled_stiffness,
+    gram_rank,
+    row_geometry,
+    row_physical,
+)
 from sbiga import space as sbiga_space
 from sbiga.coupling import (
     CoupledSpace,
@@ -25,6 +33,7 @@ from sbiga.plate import (
     PlateMaterial,
     Solution,
     _cond_estimate,
+    _kronecker_entries,
     _uncoupled_stiffness,
     assemble_load,
     assemble_stiffness,
@@ -79,37 +88,51 @@ class TestAssembleStiffness:
         assert d.max() <= 1e-12 * abs(A).max()
 
     def test_nu_zero_matches_reduced_integrand_bitwise(self):
-        # general path at nu=0 vs the kernel's GEMMs without the nu terms
-        dom = fan2(degree=2).with_segments(2, 2, 1)
-        cs = build_coupled_space(dom)
+        # general path at nu=0 vs the kernel without the nu terms: the GEMMs
+        # of every row at S2 = 2; at S2 = 4 those of the first row and past
+        # it the Kronecker sums with C = D diag(1, 1, 2)
         mat0 = PlateMaterial(E=1.0, nu=0.0, D=2.5)
-        A = assemble_stiffness(cs, mat0)
-
         D = mat0.D
-        rows, cols, vals = [], [], []
-        for m in range(len(dom.patches)):
-            tab = cs.uspace.quad_tables(m, 3, 3)
-            patch_geo = tab.patch_geometry()
-            for s2 in range(tab.S2):
-                IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
-                wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
-                loc = (H11 * wD) @ H11.transpose(0, 2, 1)
-                loc += (H22 * wD) @ H22.transpose(0, 2, 1)
-                loc += (2.0 * H12 * wD) @ H12.transpose(0, 2, 1)
-                K = IDX.shape[1]
-                rows.append(np.repeat(IDX, K, axis=1).ravel())
-                cols.append(np.tile(IDX, (1, K)).ravel())
-                vals.append(loc.ravel())
-        Atil = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(cs.N, cs.N),
-        ).tocsc()
-        B = (cs.M1.T @ (cs.M0.T @ Atil @ cs.M0) @ cs.M1).tocsc()
-        assert (A != B).nnz == 0  # bitwise identical
+        for s in (2, 4):
+            dom = fan2(degree=2).with_segments(s, s, 1)
+            cs = build_coupled_space(dom)
+            A = assemble_stiffness(cs, mat0)
+            rows, cols, vals = [], [], []
+            for m in range(len(dom.patches)):
+                tab = cs.uspace.quad_tables(m, 3, 3)
+                if s == 2:
+                    patch_geo, gemm_rows = tab.patch_geometry(), range(tab.S2)
+                else:
+                    patch_geo, wz, wx, blocks = tab.separable_tables()
+                    gemm_rows = (0,)
+                for s2 in gemm_rows:
+                    IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
+                    wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
+                    loc = (H11 * wD) @ H11.transpose(0, 2, 1)
+                    loc += (H22 * wD) @ H22.transpose(0, 2, 1)
+                    loc += (2.0 * H12 * wD) @ H12.transpose(0, 2, 1)
+                    K = IDX.shape[1]
+                    rows.append(np.repeat(IDX, K, axis=1).ravel())
+                    cols.append(np.tile(IDX, (1, K)).ravel())
+                    vals.append(loc.ravel())
+                if s > 2:
+                    CF = [F * np.array([1.0, 1.0, 2.0])[:, None] * (D * wz)[:, None, None, :]
+                          for _, _, _, _, F, _, _ in blocks]
+                    for r, c, v in _kronecker_entries(blocks, CF, wx):
+                        rows.append(r)
+                        cols.append(c)
+                        vals.append(v)
+            Atil = sp.coo_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(cs.N, cs.N),
+            ).tocsc()
+            B = (cs.M1.T @ (cs.M0.T @ Atil @ cs.M0) @ cs.M1).tocsc()
+            assert (A != B).nnz == 0, s  # bitwise identical
 
     def test_geometry_evaluated_once_per_patch(self, monkeypatch):
-        # every radial span row takes its columns of one evaluation of the
-        # SB map on the patch's Gauss grid (one per row would be S2 = 16)
+        # the first radial span row and the q = 1 factors of the Kronecker
+        # rows share one evaluation of the SB map per patch (one per row
+        # would be S2 = 16)
         cs = build_combined_space(square4(degree=5, bc={"all": "clamped"}), 16, 1)
         calls = []
         sb_geometry = sbiga_space.sb_geometry
@@ -578,19 +601,49 @@ class TestKernelOracles:
         ref = _einsum_load(kernel_case, g)
         assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_first_span_columns_match_all_gemm_bitwise(self):
+        # the radial layers j <= p-2 are supported on the first span only,
+        # which keeps its GEMMs, so their columns of Atilde are the all-GEMM
+        # ones bit for bit; the other columns agree to roundoff per row
+        for cs in (
+            build_coupled_space(square4(degree=4, bc={"all": "clamped"}).with_segments(16, 16, 1)),
+            build_combined_space(square4(degree=5, bc={"all": "clamped"}), 8, 1),
+        ):
+            A = _uncoupled_stiffness(cs, self.mat)
+            B = gemm_uncoupled_stiffness(cs, self.mat)
+            us, p = cs.uspace, cs.domain.p
+            first = [
+                us.flat(m, b, i, jloc)
+                for m, per in enumerate(us.blocks)
+                for b, blk in enumerate(per)
+                for i in range(blk.n1)
+                for jloc in range(max(0, p - 1 - blk.j_lo))
+            ]
+            assert len(first) > 0
+            Af, Bf = A[:, first], B[:, first]
+            assert_same_bytes((Af.data, Bf.data), (Af.indices, Bf.indices), (Af.indptr, Bf.indptr))
+            rowmax = abs(B).max(axis=1).toarray().ravel()
+            assert np.all(abs(A - B).max(axis=1).toarray().ravel() <= 1e-14 * rowmax)
+
     def test_scaled_patch_matches_einsum(self):
-        # c1 != 1 and c2 > 0: the load and the error norms take the patch's
-        # scaling through their geometry on the whole Gauss grid
+        # c1 != 1, with c2 > 0 or c2 = 0: the load and the error norms take
+        # the patch's scaling through their geometry on the whole Gauss
+        # grid, the stiffness past the first radial span through q in its
+        # radial weights and c1 in det J(q=1)
         c = line_curve((0.0, 1.0), (1.0, 1.0), 3)
-        cs = build_coupled_space(make_domain([SBPatch(c, (0.5, 0.0), c1=0.5, c2=0.5)]).with_segments(4, 4, 1))
         g = lambda x, y: np.sin(3.0 * x) + y**2 + 0.5
-        ref = _einsum_load(cs, g)
-        assert np.max(np.abs(assemble_load(cs, LoadSpec(surface=g)) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        sol = Solution(cs, np.random.default_rng(5).standard_normal(cs.N6), self.mat, None, 0, 1)
-        rep = error_norms(sol, cos2_square())
-        h2, l2 = _einsum_errors(sol, cos2_square())
-        assert rep.h2_semi == pytest.approx(h2, rel=1e-13)
-        assert rep.l2 == pytest.approx(l2, rel=1e-13)
+        for c1, c2 in ((0.5, 0.5), (2.0, 0.0)):
+            cs = build_coupled_space(make_domain([SBPatch(c, (0.5, 0.0), c1=c1, c2=c2)]).with_segments(4, 4, 1))
+            A = _uncoupled_stiffness(cs, self.mat)
+            B = _einsum_uncoupled_stiffness(cs, self.mat)
+            assert abs(A - B).max() <= 1e-13 * abs(B).max()
+            ref = _einsum_load(cs, g)
+            assert np.max(np.abs(assemble_load(cs, LoadSpec(surface=g)) - ref)) <= 1e-13 * np.max(np.abs(ref))
+            sol = Solution(cs, np.random.default_rng(5).standard_normal(cs.N6), self.mat, None, 0, 1)
+            rep = error_norms(sol, cos2_square())
+            h2, l2 = _einsum_errors(sol, cos2_square())
+            assert rep.h2_semi == pytest.approx(h2, rel=1e-13)
+            assert rep.l2 == pytest.approx(l2, rel=1e-13)
 
 
 def _star_polygon_domain(gaps, radii, phase, degree, bc="clamped"):
