@@ -26,6 +26,7 @@ from scipy.linalg import qr, solve_triangular
 from .errors import CouplingError, GeometryError
 from .geometry import ESSENTIAL_LAYERS, unit_normal
 from .space import UncoupledSpace
+from .splines import INDEX
 
 __all__ = [
     "G1Coefficients",
@@ -186,14 +187,14 @@ def scaling_center_functions(uspace, group_index):
             tag="not-applicable",
         )
     p = domain.p
-    idx, coeffs = [np.empty(0, dtype=int)], [np.empty((3, 0))]
+    idx, coeffs = [np.empty(0, dtype=INDEX)], [np.empty((3, 0))]
     for m in group.patches:
         for b, blk in enumerate(uspace.blocks[m]):
             if blk.j_lo > p:
                 continue
             net = blk.net(domain.patches[m])[:, : min(p, blk.j_hi) - blk.j_lo + 1]
-            jl = np.arange(net.shape[1])
-            idx.append(uspace.flat(m, b, np.arange(blk.n1)[:, None], jl).ravel())
+            jl = np.arange(net.shape[1], dtype=INDEX)
+            idx.append(uspace.flat(m, b, np.arange(blk.n1, dtype=INDEX)[:, None], jl).ravel())
             coeffs.append(np.stack([np.ones(net.shape[:2]), net[..., 0], net[..., 1]]).reshape(3, -1))
     return np.concatenate(idx), np.concatenate(coeffs, axis=1)
 
@@ -222,7 +223,7 @@ def _blocks_with_layer(uspace, m, j_global):
 def _layer(uspace, m, j_global):
     """Flat indices of radial layer j_global of patch m, over its blocks."""
     return [
-        uspace.flat(m, b, np.arange(uspace.blocks[m][b].n1), jl)
+        uspace.flat(m, b, np.arange(uspace.blocks[m][b].n1, dtype=INDEX), jl)
         for b, jl in _blocks_with_layer(uspace, m, j_global)
     ]
 
@@ -233,10 +234,10 @@ def _edge_dofs(uspace, edge):
     m = edge.patch
     blocks = uspace.blocks[m]
     if edge.axis == 0:
-        return [uspace.flat(m, b, int(edge.fixed) * (blk.n1 - 1), np.arange(blk.nj))
+        return [uspace.flat(m, b, int(edge.fixed) * (blk.n1 - 1), np.arange(blk.nj, dtype=INDEX))
                 for b, blk in enumerate(blocks)]
     layer = int(edge.fixed) * (uspace.domain.patches[m].radial.n - 1)
-    return [uspace.flat(m, b, np.arange(blocks[b].n1), jl)
+    return [uspace.flat(m, b, np.arange(blocks[b].n1, dtype=INDEX), jl)
             for b, jl in _blocks_with_layer(uspace, m, layer)]
 
 
@@ -263,7 +264,7 @@ def build_m0(uspace):
                     removed[idx] = True
 
     # step 2: C0 identification across interfaces
-    left, right = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    left, right = [np.empty(0, dtype=INDEX)], [np.empty(0, dtype=INDEX)]
     for itf in domain.interfaces:
         traces = [_edge_dofs(uspace, edge) for edge in itf.sides]
         if [len(t) for t in traces[0]] != [len(t) for t in traces[1]]:
@@ -307,10 +308,10 @@ def build_m0(uspace):
     dropped[cls[removed]] = True
     order = np.argsort(roots)
     kept = order[~dropped[order]]
-    col = np.full(ncls, -1)
+    col = np.full(ncls, -1, dtype=INDEX)
     col[kept] = np.arange(len(kept))
     unc2col = col[cls]
-    rows = [np.flatnonzero(unc2col >= 0)]
+    rows = [np.arange(N, dtype=INDEX)[unc2col >= 0]]
     cols = [unc2col[rows[0]]]
     vals = [np.ones(len(rows[0]))]
 
@@ -320,7 +321,7 @@ def build_m0(uspace):
         if g.c2 == 0.0:
             idx, coeffs = scaling_center_functions(uspace, gi)
             rows += [idx] * 3
-            cols += [np.full(len(idx), k + c) for c in range(3)]
+            cols += [np.full(len(idx), k + c, dtype=INDEX) for c in range(3)]
             vals += list(coeffs)
             center_cols[gi] = (k, k + 1, k + 2)
             k += 3
@@ -339,7 +340,7 @@ def _point_rows(idx, vals, N):
     """Sparse (npts, N) operator with row r = sum_k vals[r, k] e_{idx[r, k]}
     over the entries with idx >= 0, kept in the given order."""
     keep = idx >= 0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    indptr = np.cumsum(np.pad(keep.sum(axis=1), (1, 0)), dtype=INDEX)
     return sp.csr_matrix((vals[keep], idx[keep], indptr), shape=(len(idx), N))
 
 
@@ -483,9 +484,10 @@ def c1_basis(C, bounds, tol=1e-10):
     C = sp.csr_matrix(C)
     N4 = C.shape[1]
     r00 = float(np.max(spla.norm(C, axis=0), initial=0.0))
-    crow = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    crow = np.repeat(np.arange(C.shape[0], dtype=INDEX), np.diff(C.indptr))
     # entries (row, column, value) of N, and which columns are still e_i
-    Ni, Nc, Nd, plain = np.arange(N4), np.arange(N4), np.ones(N4), np.ones(N4, dtype=bool)
+    Ni, Nc = np.arange(N4, dtype=INDEX), np.arange(N4, dtype=INDEX)
+    Nd, plain = np.ones(N4), np.ones(N4, dtype=bool)
     gap = np.inf
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ek = slice(C.indptr[lo], C.indptr[hi])
@@ -499,14 +501,14 @@ def c1_basis(C, bounds, tol=1e-10):
         kept[J] = False
         inJ = ~kept[Nc]
         L = np.unique(Ni[inJ])
-        pos = np.full(N4, -1)
+        pos = np.full(N4, -1, dtype=INDEX)
         pos[L] = np.arange(len(L))
         on = pos[ci] >= 0
         D = np.zeros((hi - lo, len(L)))
         D[cr[on], pos[ci[on]]] = cd[on]
         # sparse, so that its products run outside BLAS and keep their bits
         # under any thread count
-        NJ = sp.csr_matrix((Nd[inJ], (pos[Ni[inJ]], np.searchsorted(J, Nc[inJ]))),
+        NJ = sp.csr_matrix((Nd[inJ], (pos[Ni[inJ]], np.cumsum(~kept, dtype=INDEX)[Nc[inJ]] - 1)),
                            shape=(len(L), len(J)))
         _, R, perm = qr(D @ NJ, mode="raw", pivoting=True, check_finite=False)
         pivots = np.abs(np.diagonal(R))
@@ -523,9 +525,9 @@ def c1_basis(C, bounds, tol=1e-10):
         Z = NJ @ _unit_columns(Z)[np.argsort(perm)]
         if not plain[J].all():  # Z combines earlier columns
             Z = _unit_columns(Z)
-        r, c = np.nonzero(Z)
+        r, c = (a.astype(INDEX) for a in np.nonzero(Z))
         Ni = np.concatenate([Ni[~inJ], L[r]])
-        Nc = np.concatenate([np.cumsum(kept)[Nc[~inJ]] - 1, kept.sum() + c])
+        Nc = np.concatenate([np.cumsum(kept, dtype=INDEX)[Nc[~inJ]] - 1, int(kept.sum()) + c])
         Nd = np.concatenate([Nd[~inJ], Z[r, c]])
         plain = np.concatenate([plain[kept], np.zeros(Z.shape[1], dtype=bool)])
     if not len(plain):

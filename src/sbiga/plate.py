@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, SolverError, GeometryError
 from .geometry import PatchEdge, locate_point, unit_normal
+from .splines import INDEX
 
 __all__ = [
     "PlateMaterial",
@@ -215,16 +216,15 @@ def _span_grams(Ia, Pa, Ib, Pb, na, nb):
     M = np.zeros((na + 1, nb + 1, 9))  # the last row and column take the padding
     np.add.at(M, (Ia[:, :, None], Ib[:, None, :]), E.reshape((9,) + E.shape[2:]).transpose(1, 2, 3, 0))
     r, c = np.nonzero(M[:na, :nb].any(axis=2))
-    return r, c, M[r, c]
+    return r.astype(INDEX), c.astype(INDEX), M[r, c]
 
 
 def assemble_load(cspace, loads, quad=None):
     """Coupled load vector f = M1^T (M0^T ftilde), point loads included in
     ftilde; the same two stages as :func:`assemble_stiffness`.
 
-    The surface term of a block is one contraction on the patch's Gauss
-    grid, Bz[0]^T W Rx[0], with W = w |det J| g and the dense zeta and radial
-    factors of :meth:`~sbiga.space._PatchTables.block_tables`.
+    The surface term is one sum of the basis against W = w |det J| g on
+    each patch's Gauss grid (:meth:`~sbiga.space._PatchTables.weighted_sums`).
     """
     uspace = cspace.uspace
     domain = cspace.domain
@@ -236,8 +236,8 @@ def assemble_load(cspace, loads, quad=None):
             tab = uspace.quad_tables(m, nq1, nq2)
             geo = tab.patch_geometry()
             W = geo["w"] * np.abs(geo["det"]) * loads.surface(geo["px"], geo["py"])
-            for sl, Bz, Rx in tab.block_tables():
-                ftil[sl] += (Bz[0].T @ W @ Rx[0]).ravel()
+            for sl, F in tab.weighted_sums(W):
+                ftil[sl] += F.ravel()
 
     for patch_idx, val in loads.edge_loads:
         _edge_functional(uspace, patch_idx, val, ftil, order=0)
@@ -297,10 +297,12 @@ def _cond_estimate(A, lu):
     estimate of ||A^{-1}||_1 (Hager 1984, Higham 1988) from solves with
     the LU factors of A.  xLACN2 runs one column, at most five iterations
     and the alternating-sign test vector; its value is the 1-norm of some
-    A^{-1} x with ||x||_1 = 1, so a lower bound, and it takes at most 11
-    solves."""
+    A^{-1} x with ||x||_1 = 1, so a lower bound, and it takes at most 10
+    solves: the first and the alternating-sign one are independent and go
+    together, with the bits of two single solves."""
     n = A.shape[0]
-    y = lu.solve(np.full(n, 1.0 / n))
+    alt = (1.0 + np.arange(n) / max(n - 1, 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    y, y_alt = lu.solve(np.column_stack([np.full(n, 1.0 / n), alt])).T
     est = np.abs(y).sum()
     if n > 1:
         sgn = np.where(y >= 0.0, 1.0, -1.0)
@@ -316,8 +318,8 @@ def _cond_estimate(A, lu):
             j_last, j = j, np.argmax(z)
             if z[j_last] == z[j]:
                 break
-        alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-        est = max(est, 2.0 * np.abs(lu.solve(alt)).sum() / (3 * n))
+    # for n = 1 the alternating-sign term is 2/3 of est and changes nothing
+    est = max(est, 2.0 * np.abs(y_alt).sum() / (3 * n))
     est *= np.max(abs(A).T @ np.ones(n))  # ||A||_1 without a CSC -> CSR copy
     return est if np.isfinite(est) else np.inf
 
@@ -415,10 +417,10 @@ class ErrorReport:
 def error_norms(solution, exact, quad=None):
     """H2 seminorm and L2 norm of u - u_h by Gauss quadrature.
 
-    u_h and its parametric derivatives come from one contraction of each
-    block's coefficients with its dense zeta and radial factors on the
-    patch's Gauss grid, and one pullback per patch maps them to the
-    physical Hessian (:meth:`~sbiga.space._PatchTables.field`).
+    u_h and its parametric derivatives come from each span's windows of
+    the block coefficients on the patch's Gauss grid, and one pullback per
+    patch maps them to the physical Hessian
+    (:meth:`~sbiga.space._PatchTables.field`).
     """
     cspace = solution.space
     uspace = cspace.uspace

@@ -18,8 +18,9 @@ integrates with batched matmuls; past that row the SB map separates, and
 the stiffness sums Kronecker products of 1D matrices integrated span by
 span (:meth:`_PatchTables.separable_tables`).  The
 load and the error norms contract one weight or coefficient vector with
-dense 1D factors over the whole grid, Bz^T W Rx and Bz C Rx^T (sum
-factorization), with one pullback per patch.  All share :func:`_pullback`,
+the 1D factors over the whole grid, Bz^T W Rx and Bz C Rx^T (sum
+factorization) one span window at a time, so that no BLAS thread split
+reorders a sum, with one pullback per patch.  All share :func:`_pullback`,
 which maps parametric derivatives to physical gradients and Hessians
 through the closed-form J^{-1}; it is linear, so it maps fields as it maps
 functions.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import jacobian_inverse, sb_geometry
-from .splines import ders_basis, nurbs_ders_basis, gauss_points
+from .splines import INDEX, ders_basis, nurbs_ders_basis, gauss_points
 
 __all__ = ["PatchBlock", "UncoupledSpace"]
 
@@ -81,7 +82,7 @@ class PatchBlock:
         and zero derivatives for functions outside the block's radial range.
         """
         first, D = ders_basis(self.radial, x, nders)
-        jloc = np.add.outer(first - self.j_lo, np.arange(self.radial.p + 1))
+        jloc = np.add.outer(first - self.j_lo, np.arange(self.radial.p + 1, dtype=INDEX))
         inside = (jloc >= 0) & (jloc < self.nj)
         return np.where(inside, jloc, -1), np.where(inside[:, None, :], D, 0.0)
 
@@ -100,6 +101,8 @@ class UncoupledSpace:
                 row.append(off)
                 off += b.size
             self.offsets.append(row)
+        if off > np.iinfo(INDEX).max:
+            raise GeometryError("%d basis functions exceed the sparse index range" % off, tag="config-error")
         self.N = off
         self._tables = {}
 
@@ -132,7 +135,7 @@ class UncoupledSpace:
         for b, blk in enumerate(self.blocks[m]):
             f1, Dz = blk.zeta_ders(z, nders)
             jloc, Dx = blk.radial_window(x, nders)
-            ii = np.add.outer(f1, np.arange(blk.curve.p + 1))
+            ii = np.add.outer(f1, np.arange(blk.curve.p + 1, dtype=INDEX))
             flat = self.offsets[m][b] + ii[:, :, None] * blk.nj + jloc[:, None, :]
             idx.append(np.where(jloc[:, None, :] >= 0, flat, -1).reshape(len(z), -1))
             parts.append(
@@ -218,7 +221,7 @@ class UncoupledSpace:
         for blk in self.blocks[m]:
             f1, D = blk.zeta_ders(zflat, 2)
             val = D.reshape(S1, nq1, 3, -1).transpose(0, 2, 3, 1)
-            idx = np.add.outer(f1[::nq1], np.arange(blk.curve.p + 1))
+            idx = np.add.outer(f1[::nq1], np.arange(blk.curve.p + 1, dtype=INDEX))
             zt.append((idx, np.ascontiguousarray(val)))
 
         xt = []
@@ -241,7 +244,7 @@ class _PatchTables:
     product.  The element stiffness, whose basis index stays, expands them
     row by row to (S1, K, Q) arrays (Q = nq1*nq2, q = q1*nq2 + q2).  Sums
     against one coefficient or weight vector use the whole patch grid
-    (S1*nq1, S2*nq2) and dense factors instead.
+    (S1*nq1, S2*nq2) instead.
     """
 
     def __init__(self, space, m, Znodes, Zw, Xnodes, Xw, geom, zt, xt):
@@ -333,32 +336,35 @@ class _PatchTables:
             blocks.append((self.offsets[b], blk.n1, blk.nj, I, np.stack(H, axis=-2), J, G))
         return geo, self.Zw * np.abs(unit["det"][:, 0]), self.Xw[1:] * xq[:, 0], blocks
 
-    def block_tables(self):
-        """Per block, its flat index range sl and its dense zeta and radial
-        factors on the patch grid, Bz (3, S1*nq1, n1) and Rx (3, S2*nq2, nj),
-        derivative orders 0..2 first: yields (sl, Bz, Rx)."""
-        S1, nq1, nq2 = self.S1, self.nq1, self.nq2
-        rows = np.arange(S1 * nq1).reshape(S1, 1, nq1)
+    def weighted_sums(self, W):
+        """Per block, its flat index range sl and the sums over the patch
+        grid of its functions against the weights W (S1*nq1, S2*nq2): yields
+        (sl, F), F (n1, nj) = sum_q B_i R_j W.  The zeta and then the radial
+        products run over one span's nodes; np.bincount sums the spans in
+        span order, the padding J = nj into a dropped row of F."""
+        S1, nq1, S2, nq2 = self.S1, self.nq1, self.S2, self.nq2
+        Q2 = S2 * nq2
         for b, blk in enumerate(self.blocks):
-            Zidx, Zv = self.zt[b]
-            Bz = np.zeros((3, S1 * nq1, blk.n1))
-            Bz[:, rows, Zidx[:, :, None]] = Zv.transpose(1, 0, 2, 3)
-            J, Xv = self.xt[b]
-            Rx = np.zeros((3, self.S2 * nq2, blk.nj + 1))
-            Rx[:, np.arange(self.S2 * nq2).reshape(-1, 1, nq2), J[:, :, None]] = Xv
-            yield slice(self.offsets[b], self.offsets[b] + blk.size), Bz, np.ascontiguousarray(Rx[:, :, :-1])
+            (Zidx, Zv), (J, Xv) = self.zt[b], self.xt[b]
+            G = np.bincount((Zidx[:, :, None] * Q2 + np.arange(Q2)).ravel(),
+                            (Zv[:, 0] @ W.reshape(S1, nq1, Q2)).ravel(), blk.n1 * Q2)
+            H = Xv[0] @ G.reshape(blk.n1, S2, nq2).transpose(1, 2, 0)  # (S2, p+1, n1)
+            F = np.bincount((J[:, :, None] * blk.n1 + np.arange(blk.n1)).ravel(), H.ravel(), (blk.nj + 1) * blk.n1)
+            yield slice(self.offsets[b], self.offsets[b] + blk.size), F.reshape(-1, blk.n1)[:-1].T
 
     def field(self, c):
         """Value and physical Hessian of the field with flat coefficients c
         on the patch grid: (u, H11, H22, H12, geo), arrays (S1*nq1, S2*nq2).
-        A block with coefficients C (n1, nj) adds Bz[dz] @ (C @ Rx[dx].T) to
-        the parametric derivative of orders (dz, dx)."""
+        The parametric derivatives come from the coefficients of each span's
+        radial and zeta windows, one product over each window in turn."""
         A = {k: 0.0 for k in _DERIVS}
-        for sl, Bz, Rx in self.block_tables():
-            C = c[sl].reshape(Bz.shape[2], Rx.shape[2])
-            CR = [C @ Rx[dx].T for dx in range(3)]
+        for b, blk in enumerate(self.blocks):
+            (Zidx, Zv), (J, Xv) = self.zt[b], self.xt[b]
+            C = c[self.offsets[b] : self.offsets[b] + blk.size].reshape(blk.n1, blk.nj)
+            Cw = np.pad(C, ((0, 0), (0, 1)))[:, J].transpose(1, 0, 2)  # (S2, n1, p+1), padding J = nj
+            CR = [(Cw @ Xv[dx]).transpose(1, 0, 2).reshape(blk.n1, -1) for dx in range(3)]
             for k, (dz, dx) in _DERIVS.items():
-                A[k] = A[k] + Bz[dz] @ CR[dx]
+                A[k] = A[k] + (Zv[:, dz].transpose(0, 2, 1) @ CR[dx][Zidx]).reshape(self.S1 * self.nq1, -1)
         geo = self.patch_geometry()
         _, _, (H11, H22, H12) = _pullback(A, geo)
         return A["V"], H11, H22, H12, geo

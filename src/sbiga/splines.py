@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import SplineError
 
+# The type of every basis index array: scipy.sparse's and splu's C int, so
+# that no sparse constructor casts, copies or range-scans one; N < 2**31.
+INDEX = np.int32
+
 __all__ = [
     "KnotVector",
     "make_open_knot_vector",
@@ -134,8 +138,8 @@ def make_open_knot_vector(p, segments, r):
 def ders_basis(kv, t, nders):
     """All nonzero B-splines and derivatives at the n parameters t.
 
-    Returns (first, D), first (n,) and D (n, nders+1, p+1), where
-    D[., k, j] is the k-th derivative of basis function first + j,
+    Returns (first, D), first (n,) of type INDEX and D (n, nders+1, p+1),
+    where D[., k, j] is the k-th derivative of basis function first + j,
     k = 0..nders, j = 0..p; a scalar t counts as one parameter.  Standard
     triangular algorithm, run over all parameters at once.  Every division
     is by a knot difference U[span+a] - U[span+b] with a >= 1 and b <= 0;
@@ -181,7 +185,7 @@ def ders_basis(kv, t, nders):
     for k in range(1, nders + 1):
         rfac *= p - k + 1
         ders[k] *= rfac
-    return span - p, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
+    return (span - p).astype(INDEX), np.ascontiguousarray(np.moveaxis(ders, -1, 0))
 
 
 def nurbs_ders_basis(kv, weights, t, nders):

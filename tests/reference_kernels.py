@@ -43,7 +43,7 @@ from sbiga.coupling import _RANK_GAP
 from sbiga.errors import CouplingError, GeometryError, SplineError
 from sbiga.geometry import ESSENTIAL_LAYERS, NurbsCurve, circle_arc, line_curve, make_domain, sb_geometry
 from sbiga.space import _pullback
-from sbiga.splines import KnotVector
+from sbiga.splines import INDEX, KnotVector
 from sbiga.trim import star_blocks
 
 
@@ -99,7 +99,7 @@ def ders_basis_ratio(kv, t, nders):
     for k in range(1, nders + 1):
         rfac *= p - k + 1
         ders[k] *= rfac
-    return span - p, np.ascontiguousarray(np.moveaxis(ders, -1, 0))
+    return (span - p).astype(INDEX), np.ascontiguousarray(np.moveaxis(ders, -1, 0))
 
 
 def _insert_knot_per_knot(kv, ctrl, t, times):
@@ -248,7 +248,7 @@ def build_m0_union_find(uspace, domain=None):
     }
 
     rows, cols, vals = [], [], []
-    unc2col = np.full(N, -1, dtype=int)
+    unc2col = np.full(N, -1, dtype=INDEX)
     k = 0
     for root in sorted(classes):
         if root in removed_classes:

@@ -1,5 +1,9 @@
 import functools
+import os
 import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +50,7 @@ from sbiga.plate import (
     solve,
     solve_plate,
 )
-from sbiga.splines import KnotVector
+from sbiga.splines import INDEX, KnotVector
 from sbiga.stabilize import build_combined_space
 
 
@@ -205,6 +209,80 @@ class TestAssembleLoad:
     def test_point_load_outside_domain(self, clamped_square):
         with pytest.raises(GeometryError):
             assemble_load(clamped_square, LoadSpec(point_loads=[((3.0, 0.0), 1.0)]))
+
+    def test_load_and_field_same_bits_under_any_blas_thread_count(self):
+        # f and the patch field of a random c on the clamped stabilized p=4
+        # square at s=28, criterion 6's last level, in fresh processes under
+        # one and two BLAS threads; whole-grid BLAS products split their
+        # inner axis by thread there
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", _LOAD_FIELD_SCRIPT],
+                                 env=env, capture_output=True, text=True, check=True)
+            hashes.append(out.stdout.split())
+        assert len(hashes[0]) == 5 and hashes[0] == hashes[1]
+
+
+_LOAD_FIELD_SCRIPT = """
+import hashlib
+import numpy as np
+from sbiga.models import square4
+from sbiga.plate import LoadSpec, assemble_load, cos2_square, manufactured_rhs
+from sbiga.stabilize import build_combined_space
+cs = build_combined_space(square4(degree=4, bc={"all": "clamped"}), 28, 1)
+f = assemble_load(cs, LoadSpec(surface=manufactured_rhs(cos2_square(), 1.0)))
+c = np.random.default_rng(0).standard_normal(cs.N)
+for a in [f, *cs.uspace.quad_tables(0, 5, 5).field(c)[:4]]:
+    print(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+"""
+
+
+class TestIndexType:
+    """Index arrays are 32-bit from the Gauss tables to the solver."""
+
+    @pytest.fixture(scope="class")
+    def stabilized(self):
+        cfg = CaseConfig.from_file(str(ROOT / "perfbench/configs/square_stabilized_p5.json"))
+        base, _ = cfg.build_base_domain()
+        return cfg, cfg.build_space(base, 16)
+
+    def test_operators_and_windows_are_int32(self, stabilized):
+        cfg, cs = stabilized
+        for M in (cs.M0, cs.C, cs.M1, assemble_stiffness(cs, cfg.material)):
+            assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
+        for m in range(len(cs.domain.patches)):
+            tab = cs.uspace.quad_tables(m, 6, 6)
+            assert len(tab.zt) == 2
+            for (Zidx, _), (J, _) in zip(tab.zt, tab.xt):
+                assert Zidx.dtype == np.int32 and J.dtype == np.int32
+        idx = cs.uspace.parametric_eval(0, np.array([0.3, 0.6]), np.array([0.2, 0.9]))[0]
+        assert idx.dtype == np.int32
+
+    def test_stiffness_traced_peak_below_three_and_a_half_matrices(self, stabilized):
+        # the COO parts and their CSC conversion: 2.9 nbytes(A) with 32-bit
+        # indices, 4.4 with 64-bit ones
+        cfg, cs = stabilized
+        tracemalloc.start()
+        try:
+            A = assemble_stiffness(cs, cfg.material)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+    def test_space_past_the_index_range_raises(self):
+        # blocks that only carry sizes: no array of that length is made
+        class Stub:
+            def __init__(self, size):
+                self.size = size
+
+        limit = np.iinfo(INDEX).max
+        assert sbiga_space.UncoupledSpace(None, [[Stub(limit - 1), Stub(1)]]).N == limit
+        with pytest.raises(GeometryError, match="sparse index range") as exc:
+            sbiga_space.UncoupledSpace(None, [[Stub(2**30)], [Stub(2**30)]])
+        assert exc.value.tag == "config-error"
 
 
 class TestSolve:
