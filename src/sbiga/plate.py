@@ -139,84 +139,213 @@ def _quad_counts(cspace, quad):
 
 
 def assemble_stiffness(cspace, material, quad=None):
-    """Coupled stiffness A = M1^T (M0^T Atilde M0) M1 (symmetric, PD when
-    clamped).
+    """Coupled stiffness A = M1^T ((M0^T Atilde) M0) M1 in CSC (symmetric,
+    PD when clamped).
 
     The congruence goes through the C0 space first.  Atilde is nearly
     singular on the center rows, and the one-stage (M0 M1)^T Atilde (M0 M1)
     rounds the product M0 M1 against them: on the clamped p=4 square at
     s=16, a random orthogonal recombination of the interface columns of M1
     moved the L2 error by 20 % in the one-stage form and by 0.05 % here.
+
+    Both stages are CSC products, so Atilde is never copied to CSR, and
+    each product is freed once the next is formed.  Each stage multiplies
+    the transposed basis into the middle factor first and runs on that
+    factor's own entries.  Atilde and A4 are symmetric to roundoff only,
+    and that orientation and association are part of the result: on the
+    same case the L2 error moved by +64 % with Atilde^T in place of Atilde,
+    by +27 % with M0^T (Atilde M0), and by -54 % with A4^T or A^T.  A is
+    sorted in place once, for the solver.
     """
-    A4 = cspace.M0.T @ _uncoupled_stiffness(cspace, material, quad) @ cspace.M0
-    return (cspace.M1.T @ A4 @ cspace.M1).tocsc()
+    M0, M1 = cspace.M0, cspace.M1
+    A4 = (M0.T.tocsc() @ _uncoupled_stiffness(cspace, material, quad)) @ M0
+    A = M1.T.tocsc() @ A4
+    del A4
+    A = A @ M1
+    A.sort_indices()
+    return A
 
 
 def _uncoupled_stiffness(cspace, material, quad=None):
-    """Atilde on the uncoupled space, sparse, for the integrand h^T C h,
-    h = (H11, H22, H12), C = D [[1, nu, 0], [nu, 1, 0], [0, 0, 2 (1 - nu)]].
+    """Atilde on the uncoupled space in CSC, for the integrand h^T C h,
+    h = (H11, H22, H12), C = D [[1, nu, 0], [nu, 1, 0], [0, 0, 2 (1 - nu)]]
+    (:func:`_csc_stiffness`).  The element matrices of a radial span row
+    are three batched GEMMs over the quadrature axis, with wD = D w |det J|
+    per point: ((H11 + nu H22) wD) H11^T + ((H22 + nu H11) wD) H22^T
+    + (2 (1 - nu) H12 wD) H12^T."""
+    D, nu = material.D, material.nu
+
+    def element(H11, H22, H12, wD):
+        loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
+        loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
+        loc += (2.0 * (1.0 - nu) * H12 * wD) @ H12.transpose(0, 2, 1)
+        return loc
+
+    def c_rows(F):
+        return np.stack([F[..., 0, :] + nu * F[..., 1, :], F[..., 1, :] + nu * F[..., 0, :],
+                         2.0 * (1.0 - nu) * F[..., 2, :]], axis=-2)
+
+    return _csc_stiffness(cspace, D, element, c_rows, quad)
+
+
+def _csc_stiffness(cspace, D, element, c_rows, quad=None):
+    """Atilde in CSC from the element kernel element(H11, H22, H12, wD) and
+    c_rows(F), C / D applied to the Hessian component axis of F.
 
     On the first radial span, where the center functions' energy forms by
     cancellation, and on every span of a patch with S2 <= 2, the element
-    matrices of a radial span row are three batched GEMMs over the
-    quadrature axis, with wD = D w |det J| per point:
-    ((H11 + nu H22) wD) H11^T + ((H22 + nu H11) wD) H22^T
-    + (2 (1 - nu) H12 wD) H12^T.  On spans 2..S2 a block pair gets
-    sum_{t,u} Z_tu (x) X_tu (:func:`_kronecker_entries`).
+    matrices of each radial span row come from ``element``.  One COO -> CSC
+    conversion of these alone sums them as an all-GEMM assembly would; it
+    is Atilde on the patches with S2 <= 2.
+
+    On the other patches the pattern is known before any value.  In the
+    block pair (a, b) of a patch the functions B_i R_j of block a that
+    share an element with B_k R_l of block b are a zeta range of i times a
+    radial range of j (:func:`_overlaps`).  A column lists its rows block by
+    block, each block's (i, j) in order, so indptr and the position of every
+    entry are integer arithmetic on the per-function range counts
+    (:func:`_write_pattern`), and the indices and values are written there.
+    Past the first span a block pair gets sum_{t,u} Z_tu (x) X_tu at all of
+    its positions (exact zeros where the radial functions meet on the first
+    span only), and the first-span element sums are added at theirs, so the
+    columns that live on the first span alone keep the GEMM bits.
     """
-    D, nu = material.D, material.nu
     nq1, nq2 = _quad_counts(cspace, quad)
-    parts = []
+    tabs, seps, parts = [], [], []
     for m in range(len(cspace.domain.patches)):
         tab = cspace.uspace.quad_tables(m, nq1, nq2)
         kron = tab.S2 > 2
         patch_geo, *sep = tab.separable_tables() if kron else (tab.patch_geometry(),)
         for s2 in range(1 if kron else tab.S2):
             IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
-            wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
-            loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
-            loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
-            loc += (2.0 * (1.0 - nu) * H12 * wD) @ H12.transpose(0, 2, 1)
+            loc = element(H11, H22, H12, (D * geo["w"] * np.abs(geo["det"]))[:, None, :])
             K = IDX.shape[1]
             parts.append((np.repeat(IDX, K, axis=1).ravel(), np.tile(IDX, (1, K)).ravel(), loc.ravel()))
-        if kron:
-            wz, wx, blocks = sep
-            CF = [np.stack([F[..., 0, :] + nu * F[..., 1, :], F[..., 1, :] + nu * F[..., 0, :],
-                            2.0 * (1.0 - nu) * F[..., 2, :]], axis=-2) * (D * wz)[:, None, None, :]
-                  for _, _, _, _, F, _, _ in blocks]
-            parts += _kronecker_entries(blocks, CF, wx)
+        tabs.append(tab)
+        seps.append(sep)
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    if not np.all(np.isfinite(vals)):
+    G = sp.coo_matrix((vals, (rows, cols)), shape=(cspace.N, cspace.N)).tocsc()
+    del rows, cols, vals, parts
+
+    overlaps = [_overlaps(tab) if sep else None for tab, sep in zip(tabs, seps)]
+    counts = np.diff(G.indptr)
+    for tab, ov in zip(tabs, overlaps):
+        if ov:
+            n = np.concatenate([sum(zc[:, None] * rc for _, zc, _, rc in per_a).ravel() for per_a in ov])
+            counts[tab.offsets[0] : tab.offsets[0] + len(n)] = n
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    if indptr[-1] > np.iinfo(INDEX).max:
+        raise AssemblyError("%d stiffness entries exceed the sparse index range" % indptr[-1],
+                            tag="assembly-failure")
+    indptr = indptr.astype(INDEX)
+    indices = np.empty(indptr[-1], INDEX)
+    data = np.empty(indptr[-1])
+    for tab, sep, ov in zip(tabs, seps, overlaps):
+        own = slice(tab.offsets[0], tab.offsets[-1] + tab.blocks[-1].size)  # the patch's columns
+        if not sep:
+            at, gat = (slice(p[own.start], p[own.stop]) for p in (indptr, G.indptr))
+            indices[at], data[at] = G.indices[gat], G.data[gat]
+            continue
+        layout = _write_pattern(indices, tab, ov, indptr)
+        wz, wx, blocks = sep
+        CF = [c_rows(F) * (D * wz)[:, None, None, :] for _, _, _, _, F, _, _ in blocks]
+        _write_kronecker(data, layout, blocks, CF, wx)
+        _add_entries(data, layout, tab, G, own)
+    if not np.all(np.isfinite(data)):
         raise AssemblyError("nonfinite stiffness entry", tag="assembly-failure")
-    return sp.coo_matrix((vals, (rows, cols)), shape=(cspace.N, cspace.N)).tocsc()
+    return sp.csc_matrix((data, indices, indptr), shape=(cspace.N, cspace.N))
 
 
-def _kronecker_entries(blocks, CF, wx):
-    """COO (rows, cols, vals) of sum_{t,u} Z_tu (x) X_tu per block pair
+def _overlaps(tab):
+    """Per block b of a patch, per block a: (zlo, zc, rlo, rc), such that
+    the functions B_i R_j of block a that share an element with B_k R_l of
+    block b are zlo[k] <= i < zlo[k] + zc[k] times rlo[l] <= j < rlo[l] +
+    rc[l]: the union of a's span windows (``zt`` and ``xt``) over the spans
+    where the function of b is active."""
+
+    def ranges(Wa, Wb, na, nb):
+        inside = Wa < na  # the radial windows are padded with n
+        lo = np.full(nb + 1, na, INDEX)
+        hi = np.zeros(nb + 1, INDEX)
+        np.minimum.at(lo, Wb, np.where(inside, Wa, na).min(axis=1)[:, None])
+        np.maximum.at(hi, Wb, np.where(inside, Wa + 1, 0).max(axis=1)[:, None])
+        return lo[:nb], np.maximum(hi - lo, 0)[:nb]
+
+    return [[ranges(Ia, Ib, blk_a.n1, blk_b.n1) + ranges(Ja, Jb, blk_a.nj, blk_b.nj)
+             for blk_a, (Ia, _), (Ja, _) in zip(tab.blocks, tab.zt, tab.xt)]
+            for blk_b, (Ib, _), (Jb, _) in zip(tab.blocks, tab.zt, tab.xt)]
+
+
+def _write_pattern(indices, tab, ov, indptr):
+    """Write the row indices of a patch's columns, and return where the
+    entries of each block pair (a, b) go.  Column (k, l) of block b holds
+    the ranges of :func:`_overlaps` of block 0, then of block 1, ..., each
+    row-major in (i, j), so entry (B_i R_j of a, B_k R_l of b) sits at
+    Q[k, l] + i rc[l] + j.  Returns {(a, b): (Q, rc, pos, iz, kz, jx, lx)}
+    with pos (nZ, nX) those positions over all zeta pairs (i, k) = (iz,
+    kz) and radial pairs (j, l) = (jx, lx) of the ranges."""
+    layout = {}
+    for b, (sb, blk_b) in enumerate(zip(tab.offsets, tab.blocks)):
+        start = indptr[sb : sb + blk_b.size].reshape(blk_b.n1, blk_b.nj).astype(np.intp)
+        for a, (zlo, zc, rlo, rc) in enumerate(ov[b]):
+            Q = start - zlo[:, None] * rc - rlo
+            kz, iz = _ranges(zlo, zc)
+            lx, jx = _ranges(rlo, rc)
+            pos = np.repeat(Q[kz] + iz[:, None] * rc, rc, axis=1)
+            pos += jx
+            indices[pos] = (tab.offsets[a] + iz * tab.blocks[a].nj)[:, None] + jx
+            layout[a, b] = (Q, rc, pos, iz, kz, jx, lx)
+            start = start + zc[:, None] * rc
+    return layout
+
+
+def _ranges(lo, n):
+    """(u, r) over the pairs lo[u] <= r < lo[u] + n[u], in order of u, then r."""
+    u = np.repeat(np.arange(len(n), dtype=INDEX), n)
+    r = np.arange(len(u), dtype=INDEX) - np.repeat((np.cumsum(n) - n).astype(INDEX), n)
+    return u, r + lo[u]
+
+
+def _write_kronecker(data, layout, blocks, CF, wx):
+    """Write sum_{t,u} Z_tu (x) X_tu at the positions of each block pair
     (a, b) of a patch's :meth:`~sbiga.space._PatchTables.separable_tables`,
     with CF[a] = C F_a wz: Z_tu = sum CF_a[t] F_b[u], X_tu = sum G_a[t]
-    G_b[u] wx, where both 1D supports overlap.  einsum forms the values: a
-    threaded (nZ x 9)(9 x nX) GEMM changed some with the thread count."""
-    for (sa, n1a, nja, Ia, _, Ja, Ga), CFa in zip(blocks, CF):
+    G_b[u] wx.  einsum forms the values: a threaded (nZ x 9)(9 x nX) GEMM
+    changed some with the thread count."""
+    for a, ((_, n1a, nja, Ia, _, Ja, Ga), CFa) in enumerate(zip(blocks, CF)):
         WG = Ga * wx[:, None, :]
-        for sb, n1b, njb, Ib, Fb, Jb, Gb in blocks:
-            iz, kz, Z = _span_grams(Ia, CFa, Ib, Fb, n1a, n1b)
-            jx, lx, X = _span_grams(Ja, WG, Jb, Gb, nja, njb)
-            yield (np.add.outer(sa + iz * nja, jx).ravel(),
-                   np.add.outer(sb + kz * njb, lx).ravel(), np.einsum("it,jt->ij", Z, X).ravel())
+        for b, (_, n1b, njb, Ib, Fb, Jb, Gb) in enumerate(blocks):
+            _, _, pos, iz, kz, jx, lx = layout[a, b]
+            Z = _span_grams(Ia, CFa, Ib, Fb, n1a, n1b)[iz, kz]
+            X = _span_grams(Ja, WG, Jb, Gb, nja, njb)[jx, lx]
+            data[pos] = np.einsum("it,jt->ij", Z, X)
 
 
 def _span_grams(Ia, Pa, Ib, Pb, na, nb):
-    """(r, c, M[r, c]) where the span windows Ia (S, ka) and Ib (S, kb)
-    overlap, of M_tu = sum_s Pa[t, s] Pb[u, s]^T (na, nb) for Pa (3, S, ka,
-    ...), Pb (3, S, kb, ...): small GEMMs summed span by span, since one
-    product over all nodes split its inner axis by BLAS thread."""
+    """M (na + 1, nb + 1, 9) with M[r, c] = M_tu, M_tu = sum_s Pa[t, s]
+    Pb[u, s]^T for Pa (3, S, ka, ...), Pb (3, S, kb, ...) summed where the
+    span windows Ia (S, ka) and Ib (S, kb) meet: small GEMMs span by span,
+    since one product over all nodes split its inner axis by BLAS thread.
+    The last row and column take the padding."""
     Pa, Pb = (P.reshape(P.shape[:3] + (-1,)) for P in (Pa, Pb))
     E = Pa[:, None] @ Pb[None].swapaxes(-1, -2)
-    M = np.zeros((na + 1, nb + 1, 9))  # the last row and column take the padding
+    M = np.zeros((na + 1, nb + 1, 9))
     np.add.at(M, (Ia[:, :, None], Ib[:, None, :]), E.reshape((9,) + E.shape[2:]).transpose(1, 2, 3, 0))
-    r, c = np.nonzero(M[:na, :nb].any(axis=2))
-    return r.astype(INDEX), c.astype(INDEX), M[r, c]
+    return M
+
+
+def _add_entries(data, layout, tab, G, own):
+    """Add the entries of the CSC matrix G in the patch's columns ``own`` at
+    their positions in ``layout`` (:func:`_write_pattern`)."""
+    gat = slice(G.indptr[own.start], G.indptr[own.stop])
+    r, v = G.indices[gat], G.data[gat]
+    c = np.repeat(np.arange(own.start, own.stop, dtype=INDEX), np.diff(G.indptr[own.start : own.stop + 1]))
+    for (a, b), (Q, rc, *_) in layout.items():
+        (sa, blk_a), (sb, blk_b) = (tab.offsets[a], tab.blocks[a]), (tab.offsets[b], tab.blocks[b])
+        sel = (r >= sa) & (r < sa + blk_a.size) & (c >= sb) & (c < sb + blk_b.size)
+        i, j = np.divmod(r[sel] - sa, blk_a.nj)
+        k, l = np.divmod(c[sel] - sb, blk_b.nj)
+        data[Q[k, l] + i * rc[l] + j] += v[sel]
 
 
 def assemble_load(cspace, loads, quad=None):
@@ -353,7 +482,8 @@ def solve(A, f):
         raise SolverError("factorization failed: %s" % exc, tag="solver-error")
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced nonfinite values", tag="solver-error")
-    res = np.linalg.norm(f - A @ x)
+    r = f - A @ x
+    res = np.sqrt(np.sum(r * r))  # np.linalg.norm takes a BLAS ddot, split by thread
     return x, res, _cond_estimate(A, lu)
 
 

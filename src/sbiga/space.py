@@ -16,7 +16,10 @@ of the first radial span row (of every row if S2 <= 2) expands the factors
 to (S1, K, Q) Hessian tables, pulls them back with that row's geometry and
 integrates with batched matmuls; past that row the SB map separates, and
 the stiffness sums Kronecker products of 1D matrices integrated span by
-span (:meth:`_PatchTables.separable_tables`).  The
+span (:meth:`_PatchTables.separable_tables`).  The span windows of the
+factors also fix the stiffness pattern: the functions that share an
+element with one function are a zeta range times a radial range, so the
+stiffness is written into CSC by position (:mod:`sbiga.plate`).  The
 load and the error norms contract one weight or coefficient vector with
 the 1D factors over the whole grid, Bz^T W Rx and Bz C Rx^T (sum
 factorization) one span window at a time, so that no BLAS thread split

@@ -564,6 +564,62 @@ def gemm_uncoupled_stiffness(cspace, material, quad=None):
     ).tocsc()
 
 
+def coo_uncoupled_stiffness(cspace, material, quad=None):
+    """Atilde through COO index arrays, the form before the CSC writer of
+    ``plate._uncoupled_stiffness``: the first-span element GEMMs and the
+    Kronecker entries of spans 2..S2 are concatenated and converted to CSC
+    once, duplicates summed."""
+    D, nu = material.D, material.nu
+    nq1 = nq2 = quad or cspace.domain.p + 1
+    parts = []
+    for m in range(len(cspace.domain.patches)):
+        tab = cspace.uspace.quad_tables(m, nq1, nq2)
+        kron = tab.S2 > 2
+        patch_geo, *sep = tab.separable_tables() if kron else (tab.patch_geometry(),)
+        for s2 in range(1 if kron else tab.S2):
+            IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
+            wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
+            loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
+            loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
+            loc += (2.0 * (1.0 - nu) * H12 * wD) @ H12.transpose(0, 2, 1)
+            K = IDX.shape[1]
+            parts.append((np.repeat(IDX, K, axis=1).ravel(), np.tile(IDX, (1, K)).ravel(), loc.ravel()))
+        if kron:
+            wz, wx, blocks = sep
+            CF = [np.stack([F[..., 0, :] + nu * F[..., 1, :], F[..., 1, :] + nu * F[..., 0, :],
+                            2.0 * (1.0 - nu) * F[..., 2, :]], axis=-2) * (D * wz)[:, None, None, :]
+                  for _, _, _, _, F, _, _ in blocks]
+            parts += _kronecker_entries(blocks, CF, wx)
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(cspace.N, cspace.N)).tocsc()
+
+
+def _kronecker_entries(blocks, CF, wx):
+    """COO (rows, cols, vals) of sum_{t,u} Z_tu (x) X_tu per block pair
+    (a, b) of a patch's ``separable_tables``, with CF[a] = C F_a wz:
+    Z_tu = sum CF_a[t] F_b[u], X_tu = sum G_a[t] G_b[u] wx, where both 1D
+    supports overlap."""
+    for (sa, n1a, nja, Ia, _, Ja, Ga), CFa in zip(blocks, CF):
+        WG = Ga * wx[:, None, :]
+        for sb, n1b, njb, Ib, Fb, Jb, Gb in blocks:
+            iz, kz, Z = _span_grams(Ia, CFa, Ib, Fb, n1a, n1b)
+            jx, lx, X = _span_grams(Ja, WG, Jb, Gb, nja, njb)
+            yield (np.add.outer(sa + iz * nja, jx).ravel(),
+                   np.add.outer(sb + kz * njb, lx).ravel(), np.einsum("it,jt->ij", Z, X).ravel())
+
+
+def _span_grams(Ia, Pa, Ib, Pb, na, nb):
+    """(r, c, M[r, c]) where the span windows Ia (S, ka) and Ib (S, kb)
+    overlap, of M_tu = sum_s Pa[t, s] Pb[u, s]^T (na, nb) for Pa (3, S, ka,
+    ...), Pb (3, S, kb, ...): small GEMMs summed span by span."""
+    Pa, Pb = (P.reshape(P.shape[:3] + (-1,)) for P in (Pa, Pb))
+    E = Pa[:, None] @ Pb[None].swapaxes(-1, -2)
+    M = np.zeros((na + 1, nb + 1, 9))  # the last row and column take the padding
+    np.add.at(M, (Ia[:, :, None], Ib[:, None, :]), E.reshape((9,) + E.shape[2:]).transpose(1, 2, 3, 0))
+    r, c = np.nonzero(M[:na, :nb].any(axis=2))
+    return r.astype(INDEX), c.astype(INDEX), M[r, c]
+
+
 def domain_area(cspace, quad=None):
     """Quadrature area of the domain (the Gauss rule of the assembly)."""
     nq = quad or cspace.domain.p + 1

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from reference_kernels import (
     assert_same_bytes,
     assert_same_m0,
+    coo_uncoupled_stiffness,
     domain_area,
     gemm_uncoupled_stiffness,
     gram_rank,
@@ -37,7 +38,7 @@ from sbiga.plate import (
     PlateMaterial,
     Solution,
     _cond_estimate,
-    _kronecker_entries,
+    _csc_stiffness,
     _uncoupled_stiffness,
     assemble_load,
     assemble_stiffness,
@@ -92,46 +93,23 @@ class TestAssembleStiffness:
         assert d.max() <= 1e-12 * abs(A).max()
 
     def test_nu_zero_matches_reduced_integrand_bitwise(self):
-        # general path at nu=0 vs the kernel without the nu terms: the GEMMs
-        # of every row at S2 = 2; at S2 = 4 those of the first row and past
-        # it the Kronecker sums with C = D diag(1, 1, 2)
+        # general path at nu=0 vs the kernel without the nu terms, both
+        # through the CSC writer: the GEMMs of every row at S2 = 2; at
+        # S2 = 4 those of the first row and past it the Kronecker sums with
+        # C = D diag(1, 1, 2)
         mat0 = PlateMaterial(E=1.0, nu=0.0, D=2.5)
-        D = mat0.D
+
+        def element(H11, H22, H12, wD):
+            loc = (H11 * wD) @ H11.transpose(0, 2, 1)
+            loc += (H22 * wD) @ H22.transpose(0, 2, 1)
+            loc += (2.0 * H12 * wD) @ H12.transpose(0, 2, 1)
+            return loc
+
         for s in (2, 4):
-            dom = fan2(degree=2).with_segments(s, s, 1)
-            cs = build_coupled_space(dom)
-            A = assemble_stiffness(cs, mat0)
-            rows, cols, vals = [], [], []
-            for m in range(len(dom.patches)):
-                tab = cs.uspace.quad_tables(m, 3, 3)
-                if s == 2:
-                    patch_geo, gemm_rows = tab.patch_geometry(), range(tab.S2)
-                else:
-                    patch_geo, wz, wx, blocks = tab.separable_tables()
-                    gemm_rows = (0,)
-                for s2 in gemm_rows:
-                    IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
-                    wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
-                    loc = (H11 * wD) @ H11.transpose(0, 2, 1)
-                    loc += (H22 * wD) @ H22.transpose(0, 2, 1)
-                    loc += (2.0 * H12 * wD) @ H12.transpose(0, 2, 1)
-                    K = IDX.shape[1]
-                    rows.append(np.repeat(IDX, K, axis=1).ravel())
-                    cols.append(np.tile(IDX, (1, K)).ravel())
-                    vals.append(loc.ravel())
-                if s > 2:
-                    CF = [F * np.array([1.0, 1.0, 2.0])[:, None] * (D * wz)[:, None, None, :]
-                          for _, _, _, _, F, _, _ in blocks]
-                    for r, c, v in _kronecker_entries(blocks, CF, wx):
-                        rows.append(r)
-                        cols.append(c)
-                        vals.append(v)
-            Atil = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(cs.N, cs.N),
-            ).tocsc()
-            B = (cs.M1.T @ (cs.M0.T @ Atil @ cs.M0) @ cs.M1).tocsc()
-            assert (A != B).nnz == 0, s  # bitwise identical
+            cs = build_coupled_space(fan2(degree=2).with_segments(s, s, 1))
+            A = _uncoupled_stiffness(cs, mat0)
+            B = _csc_stiffness(cs, mat0.D, element, lambda F: F * np.array([1.0, 1.0, 2.0])[:, None])
+            assert_same_bytes((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr))
 
     def test_geometry_evaluated_once_per_patch(self, monkeypatch):
         # the first radial span row and the q = 1 factors of the Kronecker
@@ -183,6 +161,23 @@ class TestAssembleStiffness:
         mixed = CoupledSpace(cs.domain, cs.uspace, cs.m0res, cs.C, M1, cs.r00, cs.rank_gap, cs.tol_null)
         l2 = [error_norms(solve_plate(c, mat, loads), exact).l2 for c in (cs, mixed)]
         assert abs(l2[1] / l2[0] - 1.0) < 0.01
+
+    def test_congruence_realization_matches_oracle_chain(self):
+        # clamped p=4, s=16 sits on the roundoff floor that the orientation
+        # and association of the congruence set: against
+        # A = M1^T ((M0^T Atilde) M0) M1 the L2 error moved by +64 % with
+        # Atilde^T in place of Atilde (fitted L2 order 4.76), by +27 % with
+        # M0^T (Atilde M0), and by -54 % with A4^T or A^T in place of A4 or
+        # A (order 5.47); another summation order of the duplicates, or
+        # M1^T (A4 M1), moved it by <= 0.03 %
+        exact = cos2_square()
+        mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
+        loads = LoadSpec(surface=manufactured_rhs(exact, mat.D))
+        cs = build_coupled_space(square4(degree=4, bc={"all": "clamped"}).with_segments(16, 16, 1))
+        A = (cs.M1.T @ ((cs.M0.T @ coo_uncoupled_stiffness(cs, mat)) @ cs.M0) @ cs.M1).tocsc()
+        x, res, est = solve(A, assemble_load(cs, loads))
+        ref = error_norms(Solution(cs, x, mat, loads, res, est), exact).l2
+        assert abs(error_norms(solve_plate(cs, mat, loads), exact).l2 / ref - 1.0) <= 1e-3
 
 
 class TestAssembleLoad:
@@ -260,17 +255,32 @@ class TestIndexType:
         idx = cs.uspace.parametric_eval(0, np.array([0.3, 0.6]), np.array([0.2, 0.9]))[0]
         assert idx.dtype == np.int32
 
-    def test_stiffness_traced_peak_below_three_and_a_half_matrices(self, stabilized):
-        # the COO parts and their CSC conversion: 2.9 nbytes(A) with 32-bit
-        # indices, 4.4 with 64-bit ones
+    def test_stiffness_traced_peak_below_two_and_a_quarter_matrices(self, stabilized):
+        # Atilde written into CSC and both congruences in CSC, each product
+        # freed once the next is formed: 1.86 nbytes(A); the COO parts, their
+        # CSC conversion and the CSR copies took 2.9
         cfg, cs = stabilized
+        assemble_stiffness(cs, cfg.material)  # the quadrature tables stay on the space
         tracemalloc.start()
         try:
             A = assemble_stiffness(cs, cfg.material)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+        assert peak <= 2.25 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+    def test_uncoupled_stiffness_traced_peak_below_one_and_three_quarter_matrices(self, stabilized):
+        # the CSC writer: 1.56 nbytes(Atilde); the COO index arrays, their
+        # concatenation and the COO -> CSC conversion took 4.0
+        cfg, cs = stabilized
+        _uncoupled_stiffness(cs, cfg.material)
+        tracemalloc.start()
+        try:
+            At = _uncoupled_stiffness(cs, cfg.material)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (At.data.nbytes + At.indices.nbytes + At.indptr.nbytes)
 
     def test_space_past_the_index_range_raises(self):
         # blocks that only carry sizes: no array of that length is made
@@ -326,6 +336,30 @@ class TestSolve:
         x, res, _ = solve(A, np.array([2.0, 3.0]))
         assert np.array_equal(x, [3.0, 2.0])
         assert res == 0.0
+
+    def test_residual_same_bits_under_any_blas_thread_count(self):
+        # the stabilized p=5 square at s=16 in fresh processes under one and
+        # two BLAS threads: f and x had the same bits, but a BLAS ddot in the
+        # residual norm read 2.562767380200425e-08 and 2.5627673802004253e-08
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+            out.append(subprocess.run([sys.executable, "-c", _RESIDUAL_SCRIPT],
+                                      env=env, capture_output=True, text=True, check=True).stdout.split())
+        assert len(out[0]) == 2 and out[0] == out[1]
+
+
+_RESIDUAL_SCRIPT = """
+import hashlib
+from sbiga.models import square4
+from sbiga.plate import LoadSpec, PlateMaterial, cos2_square, manufactured_rhs, solve_plate
+from sbiga.stabilize import build_combined_space
+cs = build_combined_space(square4(degree=5, bc={"all": "clamped"}), 16, 1)
+mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
+sol = solve_plate(cs, mat, LoadSpec(surface=manufactured_rhs(cos2_square(), mat.D)))
+print(sol.residual.hex(), hashlib.sha256(sol.coeffs.tobytes()).hexdigest())
+"""
 
 
 @functools.lru_cache(maxsize=None)

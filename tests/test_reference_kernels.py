@@ -10,6 +10,7 @@ from reference_kernels import (
     assert_same_bytes,
     assert_same_m0,
     assert_same_topology,
+    coo_uncoupled_stiffness,
     ders_basis_ratio,
     interfaces_pairwise,
     refine_to_segments_per_knot,
@@ -19,6 +20,7 @@ from reference_kernels import (
 )
 from sbiga.coupling import build_m0
 from sbiga.harness import _GEOMETRY_BUILDERS, CaseConfig
+from sbiga.plate import _uncoupled_stiffness
 from sbiga.space import UncoupledSpace
 from sbiga.splines import KnotVector, ders_basis, insert_knot, make_open_knot_vector
 from sbiga.stabilize import combined_uncoupled_space
@@ -109,6 +111,18 @@ class TestConfigLevels:
                 us = UncoupledSpace.from_domain(base.with_segments(s, s, cfg.r))
             assert_same_m0(build_m0(us), us)
 
+
+    def test_uncoupled_stiffness_matches_coo_oracle(self, path):
+        # the CSC writer against the COO assembly: the same pattern byte for
+        # byte, values to roundoff (summation order of the duplicates)
+        cfg, base = _config_levels(path)
+        for s in cfg.segments:
+            cs = cfg.build_space(base, s)
+            A = _uncoupled_stiffness(cs, cfg.material)
+            B = coo_uncoupled_stiffness(cs, cfg.material)
+            assert_same_bytes((A.indptr, B.indptr), (A.indices, B.indices))
+            rowmax = abs(B).max(axis=1).toarray().ravel()
+            assert np.all(np.abs(A.data - B.data) <= 1e-15 * rowmax[A.indices])
 
     def test_topology_carried_over(self, path):
         cfg, base = _config_levels(path)
