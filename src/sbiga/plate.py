@@ -139,26 +139,31 @@ def _quad_counts(cspace, quad):
 
 
 def assemble_stiffness(cspace, material, quad=None):
-    """Coupled stiffness A = M1^T ((M0^T Atilde) M0) M1 in CSC (symmetric,
-    PD when clamped).
+    """Coupled stiffness A = M1^T ((P^T B) P) M1 in CSC (symmetric, PD when
+    clamped), with B = blockdiag(Atilde_first, Atilde_rest) of
+    :func:`_uncoupled_stiffness` and P = [M0c; M0].
 
-    The congruence goes through the C0 space first.  Atilde is nearly
-    singular on the center rows, and the one-stage (M0 M1)^T Atilde (M0 M1)
-    rounds the product M0 M1 against them: on the clamped p=4 square at
-    s=16, a random orthogonal recombination of the interface columns of M1
-    moved the L2 error by 20 % in the one-stage form and by 0.05 % here.
+    The three center functions of a singular group are 1, x and y on the
+    first radial span, so their energy there is zero.  M0c is M0 without
+    its center columns, so A4 = M0c^T Atilde_first M0c + M0^T Atilde_rest
+    M0 leaves that zero exact instead of forming it by cancellation from
+    the largest entries of Atilde.
 
-    Both stages are CSC products, so Atilde is never copied to CSR, and
-    each product is freed once the next is formed.  Each stage multiplies
-    the transposed basis into the middle factor first and runs on that
-    factor's own entries.  Atilde and A4 are symmetric to roundoff only,
-    and that orientation and association are part of the result: on the
-    same case the L2 error moved by +64 % with Atilde^T in place of Atilde,
-    by +27 % with M0^T (Atilde M0), and by -54 % with A4^T or A^T.  A is
-    sorted in place once, for the solver.
+    The congruence goes through the C0 space first: the one-stage
+    (M0 M1)^T Atilde (M0 M1) rounds the product M0 M1 against the nearly
+    singular center rows.  Both stages are CSC products, B is never copied
+    to CSR or kept past the first product, and each product is freed once
+    the next is formed; A is sorted in place once, for the solver.  On the
+    clamped p=4 square at s=16, B^T, P^T (B P), A4^T or A^T in place of
+    what is formed here move the L2 error by <= 0.03 %.  Where the error
+    sits on the roundoff floor (p=5 without stabilization at s >= 20) any
+    of these, and the order of the two blocks, move it by up to 4x.
     """
     M0, M1 = cspace.M0, cspace.M1
-    A4 = (M0.T.tocsc() @ _uncoupled_stiffness(cspace, material, quad)) @ M0
+    keep = np.ones(M0.shape[1])
+    keep[[c for cols in cspace.m0res.center_cols.values() for c in cols]] = 0.0
+    P = sp.vstack([M0 @ sp.diags(keep, format="csc"), M0], format="csc")
+    A4 = (P.T.tocsc() @ _uncoupled_stiffness(cspace, material, quad)) @ P
     A = M1.T.tocsc() @ A4
     del A4
     A = A @ M1
@@ -167,136 +172,121 @@ def assemble_stiffness(cspace, material, quad=None):
 
 
 def _uncoupled_stiffness(cspace, material, quad=None):
-    """Atilde on the uncoupled space in CSC, for the integrand h^T C h,
-    h = (H11, H22, H12), C = D [[1, nu, 0], [nu, 1, 0], [0, 0, 2 (1 - nu)]]
-    (:func:`_csc_stiffness`).  The element matrices of a radial span row
-    are three batched GEMMs over the quadrature axis, with wD = D w |det J|
-    per point: ((H11 + nu H22) wD) H11^T + ((H22 + nu H11) wD) H22^T
-    + (2 (1 - nu) H12 wD) H12^T."""
+    """B = blockdiag(Atilde_first, Atilde_rest) in CSC (:func:`_csc_stiffness`)
+    for the integrand h^T C h, h = (H11, H22, H12),
+    C = D [[1, nu, 0], [nu, 1, 0], [0, 0, 2 (1 - nu)]]."""
     D, nu = material.D, material.nu
-
-    def element(H11, H22, H12, wD):
-        loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
-        loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
-        loc += (2.0 * (1.0 - nu) * H12 * wD) @ H12.transpose(0, 2, 1)
-        return loc
 
     def c_rows(F):
         return np.stack([F[..., 0, :] + nu * F[..., 1, :], F[..., 1, :] + nu * F[..., 0, :],
                          2.0 * (1.0 - nu) * F[..., 2, :]], axis=-2)
 
-    return _csc_stiffness(cspace, D, element, c_rows, quad)
+    return _csc_stiffness(cspace, D, c_rows, quad)
 
 
-def _csc_stiffness(cspace, D, element, c_rows, quad=None):
-    """Atilde in CSC from the element kernel element(H11, H22, H12, wD) and
-    c_rows(F), C / D applied to the Hessian component axis of F.
+def _csc_stiffness(cspace, D, c_rows, quad=None):
+    """B = blockdiag(Atilde_first, Atilde_rest) (2N, 2N) in CSC from
+    c_rows(F), C / D applied to the Hessian component axis of F: Atilde
+    integrated over the first radial span in rows and columns 0..N-1, over
+    radial spans 2..S2 in N..2N-1.
 
-    On the first radial span, where the center functions' energy forms by
-    cancellation, and on every span of a patch with S2 <= 2, the element
-    matrices of each radial span row come from ``element``.  One COO -> CSC
-    conversion of these alone sums them as an all-GEMM assembly would; it
-    is Atilde on the patches with S2 <= 2.
-
-    On the other patches the pattern is known before any value.  In the
-    block pair (a, b) of a patch the functions B_i R_j of block a that
-    share an element with B_k R_l of block b are a zeta range of i times a
-    radial range of j (:func:`_overlaps`).  A column lists its rows block by
-    block, each block's (i, j) in order, so indptr and the position of every
-    entry are integer arithmetic on the per-function range counts
-    (:func:`_write_pattern`), and the indices and values are written there.
-    Past the first span a block pair gets sum_{t,u} Z_tu (x) X_tu at all of
-    its positions (exact zeros where the radial functions meet on the first
-    span only), and the first-span element sums are added at theirs, so the
-    columns that live on the first span alone keep the GEMM bits.
+    On every span a block pair's stiffness is sum_{t,u} Z_tu (x) X_tu of
+    1D matrices (:meth:`~sbiga.space._PatchTables.separable_tables`).  Its
+    pattern is known before any value: the functions B_i R_j of block a
+    that share an element with B_k R_l of block b are a zeta range of i
+    times a radial range of j, read off the span windows of the Gauss
+    tables (:func:`_layout`).  Atilde is block diagonal over the patches,
+    so each patch's part is laid out once per distinct window signature in
+    patch-local numbering and placed at the patch's offsets, and the
+    values are written there.
     """
     nq1, nq2 = _quad_counts(cspace, quad)
-    tabs, seps, parts = [], [], []
-    for m in range(len(cspace.domain.patches)):
-        tab = cspace.uspace.quad_tables(m, nq1, nq2)
-        kron = tab.S2 > 2
-        patch_geo, *sep = tab.separable_tables() if kron else (tab.patch_geometry(),)
-        for s2 in range(1 if kron else tab.S2):
-            IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
-            loc = element(H11, H22, H12, (D * geo["w"] * np.abs(geo["det"]))[:, None, :])
-            K = IDX.shape[1]
-            parts.append((np.repeat(IDX, K, axis=1).ravel(), np.tile(IDX, (1, K)).ravel(), loc.ravel()))
-        tabs.append(tab)
-        seps.append(sep)
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    G = sp.coo_matrix((vals, (rows, cols)), shape=(cspace.N, cspace.N)).tocsc()
-    del rows, cols, vals, parts
-
-    overlaps = [_overlaps(tab) if sep else None for tab, sep in zip(tabs, seps)]
-    counts = np.diff(G.indptr)
-    for tab, ov in zip(tabs, overlaps):
-        if ov:
-            n = np.concatenate([sum(zc[:, None] * rc for _, zc, _, rc in per_a).ravel() for per_a in ov])
-            counts[tab.offsets[0] : tab.offsets[0] + len(n)] = n
-    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    N = cspace.N
+    tabs = [cspace.uspace.quad_tables(m, nq1, nq2) for m in range(len(cspace.domain.patches))]
+    spans = (slice(0, 1), slice(1, None))  # Atilde_first, Atilde_rest
+    cache, layouts = {}, []
+    for part in spans:
+        for tab in tabs:
+            wins = [(blk.n1, blk.nj, I, J[part]) for blk, (I, _), (J, _) in zip(tab.blocks, tab.zt, tab.xt)]
+            key = tuple((n1, nj, I.shape, I.tobytes(), J.shape, J.tobytes()) for n1, nj, I, J in wins)
+            if key not in cache:
+                cache[key] = _layout(wins)
+            layouts.append(cache[key])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate([np.diff(lay[0]) for lay in layouts]), dtype=np.int64)])
     if indptr[-1] > np.iinfo(INDEX).max:
         raise AssemblyError("%d stiffness entries exceed the sparse index range" % indptr[-1],
                             tag="assembly-failure")
     indptr = indptr.astype(INDEX)
     indices = np.empty(indptr[-1], INDEX)
     data = np.empty(indptr[-1])
-    for tab, sep, ov in zip(tabs, seps, overlaps):
-        own = slice(tab.offsets[0], tab.offsets[-1] + tab.blocks[-1].size)  # the patch's columns
-        if not sep:
-            at, gat = (slice(p[own.start], p[own.stop]) for p in (indptr, G.indptr))
-            indices[at], data[at] = G.indices[gat], G.data[gat]
-            continue
-        layout = _write_pattern(indices, tab, ov, indptr)
-        wz, wx, blocks = sep
-        CF = [c_rows(F) * (D * wz)[:, None, None, :] for _, _, _, _, F, _, _ in blocks]
-        _write_kronecker(data, layout, blocks, CF, wx)
-        _add_entries(data, layout, tab, G, own)
+    views = []
+    for k, (_, idx, _) in enumerate(layouts):
+        col = k // len(tabs) * N + tabs[k % len(tabs)].offsets[0]
+        at = slice(indptr[col], indptr[col] + len(idx))
+        np.add(idx, col, out=indices[at])
+        views.append(data[at])
+    for m, tab in enumerate(tabs):
+        wz, wx, blocks = tab.separable_tables()
+        CF = [c_rows(F) * (D * wz)[:, None, None, :] for _, _, _, F, _, _ in blocks]
+        WG = [G * wx[:, None, :] for *_, G in blocks]
+        pairs = [layouts[k][2] for k in (m, m + len(tabs))]
+        for a, b in pairs[0].keys() | pairs[1].keys():
+            (n1a, nja, Ia, _, Ja, _), (n1b, njb, Ib, Fb, Jb, Gb) = blocks[a], blocks[b]
+            Zg = _span_grams(Ia, CF[a], Ib, Fb, n1a, n1b)
+            for part, per, view in zip(spans, pairs, (views[m], views[m + len(tabs)])):
+                if (a, b) in per:
+                    pos, iz, kz, jx, lx = per[a, b]
+                    X = _span_grams(Ja[part], WG[a][:, part], Jb[part], Gb[:, part], nja, njb)
+                    view[pos] = np.einsum("it,jt->ij", Zg[iz, kz], X[jx, lx])
     if not np.all(np.isfinite(data)):
         raise AssemblyError("nonfinite stiffness entry", tag="assembly-failure")
-    return sp.csc_matrix((data, indices, indptr), shape=(cspace.N, cspace.N))
+    return sp.csc_matrix((data, indices, indptr), shape=(2 * N, 2 * N))
 
 
-def _overlaps(tab):
-    """Per block b of a patch, per block a: (zlo, zc, rlo, rc), such that
-    the functions B_i R_j of block a that share an element with B_k R_l of
-    block b are zlo[k] <= i < zlo[k] + zc[k] times rlo[l] <= j < rlo[l] +
-    rc[l]: the union of a's span windows (``zt`` and ``xt``) over the spans
-    where the function of b is active."""
+def _layout(wins):
+    """The CSC pattern of one patch's stiffness in patch-local numbering,
+    from per block (n1, nj, I, J) its size and its zeta and radial span
+    windows, over the spans that J lists.  Column (k, l) of block b holds
+    the functions of block 0 that share a span with it, then those of
+    block 1, ..., each row-major in (i, j): the ranges of :func:`_overlap`,
+    so entry (B_i R_j of a, B_k R_l of b) sits at Q[k, l] + i rc[l] + j.
+    Returns (indptr, indices, {(a, b): (pos, iz, kz, jx, lx)}) with pos
+    (nZ, nX) those positions over all zeta pairs (i, k) = (iz, kz) and
+    radial pairs (j, l) = (jx, lx) of the ranges; a pair that shares no
+    span is left out."""
+    off = np.cumsum([0] + [n1 * nj for n1, nj, _, _ in wins])
+    ov = [[_overlap(Ia, Ib, n1a, n1b) + _overlap(Ja, Jb, nja, njb) for n1a, nja, Ia, Ja in wins]
+          for n1b, njb, Ib, Jb in wins]
+    counts = np.concatenate([sum(zc[:, None] * rc for _, zc, _, rc in per_b).ravel() for per_b in ov])
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
+    indices = np.empty(indptr[-1], INDEX)
+    pairs = {}
+    for b, ((n1b, njb, _, _), per_b) in enumerate(zip(wins, ov)):
+        start = indptr[off[b] : off[b + 1]].reshape(n1b, njb)
+        for a, (zlo, zc, rlo, rc) in enumerate(per_b):
+            if rc.any():
+                Q = start - zlo[:, None] * rc - rlo
+                kz, iz = _ranges(zlo, zc)
+                lx, jx = _ranges(rlo, rc)
+                pos = np.repeat(Q[kz] + iz[:, None] * rc, rc, axis=1)
+                pos += jx
+                indices[pos] = (off[a] + iz * wins[a][1])[:, None] + jx
+                pairs[a, b] = (pos, iz, kz, jx, lx)
+                start = start + zc[:, None] * rc
+    return indptr, indices, pairs
 
-    def ranges(Wa, Wb, na, nb):
-        inside = Wa < na  # the radial windows are padded with n
-        lo = np.full(nb + 1, na, INDEX)
-        hi = np.zeros(nb + 1, INDEX)
-        np.minimum.at(lo, Wb, np.where(inside, Wa, na).min(axis=1)[:, None])
-        np.maximum.at(hi, Wb, np.where(inside, Wa + 1, 0).max(axis=1)[:, None])
-        return lo[:nb], np.maximum(hi - lo, 0)[:nb]
 
-    return [[ranges(Ia, Ib, blk_a.n1, blk_b.n1) + ranges(Ja, Jb, blk_a.nj, blk_b.nj)
-             for blk_a, (Ia, _), (Ja, _) in zip(tab.blocks, tab.zt, tab.xt)]
-            for blk_b, (Ib, _), (Jb, _) in zip(tab.blocks, tab.zt, tab.xt)]
-
-
-def _write_pattern(indices, tab, ov, indptr):
-    """Write the row indices of a patch's columns, and return where the
-    entries of each block pair (a, b) go.  Column (k, l) of block b holds
-    the ranges of :func:`_overlaps` of block 0, then of block 1, ..., each
-    row-major in (i, j), so entry (B_i R_j of a, B_k R_l of b) sits at
-    Q[k, l] + i rc[l] + j.  Returns {(a, b): (Q, rc, pos, iz, kz, jx, lx)}
-    with pos (nZ, nX) those positions over all zeta pairs (i, k) = (iz,
-    kz) and radial pairs (j, l) = (jx, lx) of the ranges."""
-    layout = {}
-    for b, (sb, blk_b) in enumerate(zip(tab.offsets, tab.blocks)):
-        start = indptr[sb : sb + blk_b.size].reshape(blk_b.n1, blk_b.nj).astype(np.intp)
-        for a, (zlo, zc, rlo, rc) in enumerate(ov[b]):
-            Q = start - zlo[:, None] * rc - rlo
-            kz, iz = _ranges(zlo, zc)
-            lx, jx = _ranges(rlo, rc)
-            pos = np.repeat(Q[kz] + iz[:, None] * rc, rc, axis=1)
-            pos += jx
-            indices[pos] = (tab.offsets[a] + iz * tab.blocks[a].nj)[:, None] + jx
-            layout[a, b] = (Q, rc, pos, iz, kz, jx, lx)
-            start = start + zc[:, None] * rc
-    return layout
+def _overlap(Wa, Wb, na, nb):
+    """(lo, n) such that the functions of one factor whose span windows are
+    Wa (S, ka) share a span with function r of the other (windows Wb
+    (S, kb)) for lo[r] <= l < lo[r] + n[r]: the union of Wa over the spans
+    where r is active.  The radial windows are padded with na and nb."""
+    inside = Wa < na
+    lo = np.full(nb + 1, na, INDEX)
+    hi = np.zeros(nb + 1, INDEX)
+    np.minimum.at(lo, Wb, np.where(inside, Wa, na).min(axis=1)[:, None])
+    np.maximum.at(hi, Wb, np.where(inside, Wa + 1, 0).max(axis=1)[:, None])
+    return lo[:nb], np.maximum(hi - lo, 0)[:nb]
 
 
 def _ranges(lo, n):
@@ -306,46 +296,17 @@ def _ranges(lo, n):
     return u, r + lo[u]
 
 
-def _write_kronecker(data, layout, blocks, CF, wx):
-    """Write sum_{t,u} Z_tu (x) X_tu at the positions of each block pair
-    (a, b) of a patch's :meth:`~sbiga.space._PatchTables.separable_tables`,
-    with CF[a] = C F_a wz: Z_tu = sum CF_a[t] F_b[u], X_tu = sum G_a[t]
-    G_b[u] wx.  einsum forms the values: a threaded (nZ x 9)(9 x nX) GEMM
-    changed some with the thread count."""
-    for a, ((_, n1a, nja, Ia, _, Ja, Ga), CFa) in enumerate(zip(blocks, CF)):
-        WG = Ga * wx[:, None, :]
-        for b, (_, n1b, njb, Ib, Fb, Jb, Gb) in enumerate(blocks):
-            _, _, pos, iz, kz, jx, lx = layout[a, b]
-            Z = _span_grams(Ia, CFa, Ib, Fb, n1a, n1b)[iz, kz]
-            X = _span_grams(Ja, WG, Jb, Gb, nja, njb)[jx, lx]
-            data[pos] = np.einsum("it,jt->ij", Z, X)
-
-
 def _span_grams(Ia, Pa, Ib, Pb, na, nb):
     """M (na + 1, nb + 1, 9) with M[r, c] = M_tu, M_tu = sum_s Pa[t, s]
     Pb[u, s]^T for Pa (3, S, ka, ...), Pb (3, S, kb, ...) summed where the
     span windows Ia (S, ka) and Ib (S, kb) meet: small GEMMs span by span,
-    since one product over all nodes split its inner axis by BLAS thread.
-    The last row and column take the padding."""
+    since one product over all nodes split its inner axis by BLAS thread,
+    summed by np.bincount in span order.  The last row and column take the
+    padding."""
     Pa, Pb = (P.reshape(P.shape[:3] + (-1,)) for P in (Pa, Pb))
-    E = Pa[:, None] @ Pb[None].swapaxes(-1, -2)
-    M = np.zeros((na + 1, nb + 1, 9))
-    np.add.at(M, (Ia[:, :, None], Ib[:, None, :]), E.reshape((9,) + E.shape[2:]).transpose(1, 2, 3, 0))
-    return M
-
-
-def _add_entries(data, layout, tab, G, own):
-    """Add the entries of the CSC matrix G in the patch's columns ``own`` at
-    their positions in ``layout`` (:func:`_write_pattern`)."""
-    gat = slice(G.indptr[own.start], G.indptr[own.stop])
-    r, v = G.indices[gat], G.data[gat]
-    c = np.repeat(np.arange(own.start, own.stop, dtype=INDEX), np.diff(G.indptr[own.start : own.stop + 1]))
-    for (a, b), (Q, rc, *_) in layout.items():
-        (sa, blk_a), (sb, blk_b) = (tab.offsets[a], tab.blocks[a]), (tab.offsets[b], tab.blocks[b])
-        sel = (r >= sa) & (r < sa + blk_a.size) & (c >= sb) & (c < sb + blk_b.size)
-        i, j = np.divmod(r[sel] - sa, blk_a.nj)
-        k, l = np.divmod(c[sel] - sb, blk_b.nj)
-        data[Q[k, l] + i * rc[l] + j] += v[sel]
+    E = (Pa[:, None] @ Pb[None].swapaxes(-1, -2)).reshape((9, -1))
+    at = ((Ia[:, :, None] * (nb + 1) + Ib[:, None, :]) * 9).reshape(-1, 1) + np.arange(9)
+    return np.bincount(at.ravel(), E.T.ravel(), (na + 1) * (nb + 1) * 9).reshape(na + 1, nb + 1, 9)
 
 
 def assemble_load(cspace, loads, quad=None):

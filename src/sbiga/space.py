@@ -11,12 +11,10 @@ evaluate each block's tensor factors B_i(zeta) and R_j(xi): at points in
 :meth:`UncoupledSpace.parametric_eval` / ``physical_eval``, and at the Gauss
 nodes of a patch in :meth:`UncoupledSpace.quad_tables`, built once per Gauss
 order and kept on the space.  Each assembly takes its geometry from one
-:func:`~sbiga.geometry.sb_geometry` call per patch.  The element stiffness
-of the first radial span row (of every row if S2 <= 2) expands the factors
-to (S1, K, Q) Hessian tables, pulls them back with that row's geometry and
-integrates with batched matmuls; past that row the SB map separates, and
-the stiffness sums Kronecker products of 1D matrices integrated span by
-span (:meth:`_PatchTables.separable_tables`).  The span windows of the
+:func:`~sbiga.geometry.sb_geometry` call per patch.  The SB map separates,
+so on every radial span the stiffness sums Kronecker products of 1D
+matrices integrated span by span, with the zeta factors pulled back at
+q = 1 (:meth:`_PatchTables.separable_tables`).  The span windows of the
 factors also fix the stiffness pattern: the functions that share an
 element with one function are a zeta range times a radial range, so the
 stiffness is written into CSC by position (:mod:`sbiga.plate`).  The
@@ -244,10 +242,9 @@ class _PatchTables:
     J (S2, p+1) and their factor Xv (3, S2, p+1, nq2) per radial span
     (derivative orders 0..2 on the axis of length 3; J = nj and Xv = 0
     where a function lies outside the block): the basis is their tensor
-    product.  The element stiffness, whose basis index stays, expands them
-    row by row to (S1, K, Q) arrays (Q = nq1*nq2, q = q1*nq2 + q2).  Sums
-    against one coefficient or weight vector use the whole patch grid
-    (S1*nq1, S2*nq2) instead.
+    product.  The stiffness integrates the two factors apart
+    (:meth:`separable_tables`); sums against one coefficient or weight
+    vector use the whole patch grid (S1*nq1, S2*nq2).
     """
 
     def __init__(self, space, m, Znodes, Zw, Xnodes, Xw, geom, zt, xt):
@@ -265,42 +262,6 @@ class _PatchTables:
         self.S1, self.nq1 = Znodes.shape
         self.S2, self.nq2 = Xnodes.shape
 
-    def row_basis(self, s2, names):
-        """Stacked element tensors for radial span row s2.
-
-        Returns (IDX (S1, K), {name: (S1, K, Q)}) for the parametric
-        derivatives ``names`` (keys of ``_DERIVS``), K the number of active
-        functions.
-        """
-        S1, Q = self.S1, self.nq1 * self.nq2
-        idx, parts = [], {k: [] for k in names}
-        for b, blk in enumerate(self.blocks):
-            (Zidx, Zv), (J, Xv) = self.zt[b], self.xt[b]
-            cols = J[s2] < blk.nj
-            if not cols.any():
-                continue
-            jloc, Xv = J[s2, cols], Xv[:, s2, cols]
-            flat = self.offsets[b] + Zidx[:, :, None] * blk.nj + jloc[None, None, :]
-            idx.append(flat.reshape(S1, -1))
-            for k in names:
-                dz, dx = _DERIVS[k]
-                T = Zv[:, dz, :, None, :, None] * Xv[dx, None, None, :, None, :]
-                parts[k].append(T.reshape(S1, -1, Q))
-        return np.concatenate(idx, axis=1), {k: np.concatenate(v, axis=1) for k, v in parts.items()}
-
-    def row_physical(self, s2, geo):
-        """Physical Hessian components of the basis on row s2, from the
-        :meth:`patch_geometry` dict ``geo``.
-
-        Returns (IDX, H11, H22, H12, row) with arrays (S1, K, Q) and row the
-        columns of row s2 of ``geo``, arrays (S1, Q).
-        """
-        IDX, A = self.row_basis(s2, ("D10", "D01", "D20", "D11", "D02"))
-        cols = slice(s2 * self.nq2, (s2 + 1) * self.nq2)
-        row = {k: v[:, cols].reshape(self.S1, -1) for k, v in geo.items()}
-        _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in row.items()})
-        return IDX, H11, H22, H12, row
-
     def patch_geometry(self):
         """The :func:`~sbiga.geometry.sb_geometry` dict and the weights w on
         the whole Gauss grid of the patch, arrays (S1*nq1, S2*nq2)."""
@@ -310,34 +271,29 @@ class _PatchTables:
         return geo
 
     def separable_tables(self):
-        """Factors of the SB-separable stiffness past radial span 1: the
+        """Factors of the SB-separable stiffness on every radial span: the
         Hessian of B_i R_j is sum_t F_t G_t, G_t = R_j/q^2, R_j'/q, R_j''
         and F_t the :func:`_pullback` at q = 1 of B_i with radial input t,
-        and |det J| = q |det J(q=1)|.  Returns (geo, wz, wx, blocks): geo of
-        one sb_geometry call on the q of span row 0 and q = 1 (columns
-        0..nq2-1 and w are row 0); wz = w |det J(q=1)| (S1, nq1) and
-        wx = w q (S2-1, nq2) of spans 2..S2; per block (start, n1, nj, I, F,
-        J, G): its zeta windows I (S1, kz) with F (3, S1, kz, 3, nq1), axes
-        t and Hessian component (11, 22, 12), and its radial windows J of
-        spans 2..S2 as in ``xt`` with G (3, S2-1, p+1, nq2).
+        and |det J| = q |det J(q=1)|.  Returns (wz, wx, blocks), from one
+        sb_geometry call at q = 1: wz = w |det J(q=1)| (S1, nq1) and
+        wx = w q (S2, nq2); per block (n1, nj, I, F, J, G): its zeta windows
+        I (S1, kz) with F (3, S1, kz, 3, nq1), axes t and Hessian component
+        (11, 22, 12), and its radial windows J (S2, p+1) of ``xt`` with
+        G (3, S2, p+1, nq2).
         """
-        S1, nq1, nq2 = self.S1, self.nq1, self.nq2
-        q = np.append(self.patch.q(self.Xnodes[0]), 1.0)
-        geo = sb_geometry(*self.geom, q, np.full(q.shape, self.patch.c1), self.patch.x0)
-        unit = {k: v[:, nq2].reshape(S1, 1, nq1) for k, v in geo.items()}
-        geo["w"] = np.outer(self.Zw, self.Xw[0])
-        xq = self.patch.q(self.Xnodes[1:])[:, None, :]
+        one = np.ones(1)
+        geo = sb_geometry(*self.geom, one, self.patch.c1 * one, self.patch.x0)
+        unit = {k: v.reshape(self.S1, 1, self.nq1) for k, v in geo.items()}
+        xq = self.patch.q(self.Xnodes)[:, None, :]
         blocks = []
-        for b, blk in enumerate(self.blocks):
-            I, Zv = self.zt[b]
+        for blk, (I, Zv), (J, R) in zip(self.blocks, self.zt, self.xt):
             B0, B1, B2 = Zv.transpose(1, 0, 2, 3)
             O = np.zeros_like(B0)
             A = {"D10": (B1, O, O), "D01": (O, B0, O), "D20": (B2, O, O), "D11": (O, B1, O), "D02": (O, O, B0)}
             _, _, H = _pullback({k: np.stack(v) for k, v in A.items()}, unit)
-            J, R = self.xt[b][0][1:], self.xt[b][1][:, 1:]
             G = np.stack([R[0] / xq**2, R[1] / xq, R[2]])
-            blocks.append((self.offsets[b], blk.n1, blk.nj, I, np.stack(H, axis=-2), J, G))
-        return geo, self.Zw * np.abs(unit["det"][:, 0]), self.Xw[1:] * xq[:, 0], blocks
+            blocks.append((blk.n1, blk.nj, I, np.stack(H, axis=-2), J, G))
+        return self.Zw * np.abs(unit["det"][:, 0]), self.Xw * xq[:, 0], blocks
 
     def weighted_sums(self, W):
         """Per block, its flat index range sl and the sums over the patch

@@ -26,10 +26,11 @@ independent side of some check: the scalar Cox-de Boor recursion
 (:func:`eval_basis`, :func:`eval_deriv`) with 0/0 := 0 and the left-limit
 convention at t = 1, the knot-vector queries :func:`span_index` and
 :func:`regularity`, the rank of a Gram matrix by pivoted elimination
-(:func:`gram_rank`), the geometry of one radial span row of the patch
-tables (:func:`row_geometry`, :func:`row_physical`), the stiffness with
-element GEMMs on every radial span row (:func:`gemm_uncoupled_stiffness`,
-the first-span arithmetic of ``plate._uncoupled_stiffness``), the quadrature area
+(:func:`gram_rank`), the basis and geometry of one radial span row of the
+patch tables (:func:`row_basis`, :func:`row_geometry`, :func:`row_physical`),
+the stiffness with element GEMMs on every radial span row
+(:func:`gemm_uncoupled_stiffness`), the split of the stiffness and of M0 at
+the first radial span (:func:`fold_split`, :func:`split_basis`), the quadrature area
 of a domain, a least-squares convergence order, a reader of the VTK
 files that ``sbiga.vtkio`` writes and one more trimmed geometry
 (:func:`square_with_circle_hole`).
@@ -42,7 +43,7 @@ from scipy.linalg import qr, solve_triangular
 from sbiga.coupling import _RANK_GAP
 from sbiga.errors import CouplingError, GeometryError, SplineError
 from sbiga.geometry import ESSENTIAL_LAYERS, NurbsCurve, circle_arc, line_curve, make_domain, sb_geometry
-from sbiga.space import _pullback
+from sbiga.space import _DERIVS, _pullback
 from sbiga.splines import INDEX, KnotVector
 from sbiga.trim import star_blocks
 
@@ -529,10 +530,32 @@ def row_geometry(tab, s2):
     return {k: v.reshape(tab.S1, -1) for k, v in geo.items()}
 
 
+def row_basis(tab, s2, names):
+    """Stacked element tensors of the patch tables ``tab`` on radial span
+    row s2: (IDX (S1, K), {name: (S1, K, Q)}) for the parametric
+    derivatives ``names`` (keys of ``space._DERIVS``), K the number of
+    active functions, Q = nq1*nq2 with q = q1*nq2 + q2."""
+    S1, Q = tab.S1, tab.nq1 * tab.nq2
+    idx, parts = [], {k: [] for k in names}
+    for b, blk in enumerate(tab.blocks):
+        (Zidx, Zv), (J, Xv) = tab.zt[b], tab.xt[b]
+        cols = J[s2] < blk.nj
+        if not cols.any():
+            continue
+        jloc, Xv = J[s2, cols], Xv[:, s2, cols]
+        flat = tab.offsets[b] + Zidx[:, :, None] * blk.nj + jloc[None, None, :]
+        idx.append(flat.reshape(S1, -1))
+        for k in names:
+            dz, dx = _DERIVS[k]
+            T = Zv[:, dz, :, None, :, None] * Xv[dx, None, None, :, None, :]
+            parts[k].append(T.reshape(S1, -1, Q))
+    return np.concatenate(idx, axis=1), {k: np.concatenate(v, axis=1) for k, v in parts.items()}
+
+
 def row_physical(tab, s2):
     """Physical Hessians (IDX, H11, H22, H12, geo) of the basis on row s2,
     arrays (S1, K, Q), with the geometry of :func:`row_geometry`."""
-    IDX, A = tab.row_basis(s2, ("D10", "D01", "D20", "D11", "D02"))
+    IDX, A = row_basis(tab, s2, ("D10", "D01", "D20", "D11", "D02"))
     geo = row_geometry(tab, s2)
     _, _, (H11, H22, H12) = _pullback(A, {k: v[:, None, :] for k, v in geo.items()})
     return IDX, H11, H22, H12, geo
@@ -541,15 +564,15 @@ def row_physical(tab, s2):
 def gemm_uncoupled_stiffness(cspace, material, quad=None):
     """All-GEMM Atilde: the element matrices of every radial span row are
     three batched GEMMs over the quadrature axis, with wD = D w |det J| per
-    point, as ``plate._uncoupled_stiffness`` forms them on the first span."""
+    point, the form the first radial span took before the Kronecker sums
+    covered it."""
     D, nu = material.D, material.nu
     nq1 = nq2 = quad or cspace.domain.p + 1
     rows, cols, vals = [], [], []
     for m in range(len(cspace.domain.patches)):
         tab = cspace.uspace.quad_tables(m, nq1, nq2)
-        patch_geo = tab.patch_geometry()
         for s2 in range(tab.S2):
-            IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
+            IDX, H11, H22, H12, geo = row_physical(tab, s2)
             wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
             loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
             loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
@@ -565,43 +588,37 @@ def gemm_uncoupled_stiffness(cspace, material, quad=None):
 
 
 def coo_uncoupled_stiffness(cspace, material, quad=None):
-    """Atilde through COO index arrays, the form before the CSC writer of
-    ``plate._uncoupled_stiffness``: the first-span element GEMMs and the
-    Kronecker entries of spans 2..S2 are concatenated and converted to CSC
-    once, duplicates summed."""
+    """B = blockdiag(Atilde_first, Atilde_rest) through COO index arrays,
+    the form before the CSC writer of ``plate._uncoupled_stiffness``: the
+    Kronecker entries of the first radial span and those of spans 2..S2
+    (shifted by N) are concatenated and converted to CSC once, duplicates
+    summed."""
     D, nu = material.D, material.nu
     nq1 = nq2 = quad or cspace.domain.p + 1
     parts = []
     for m in range(len(cspace.domain.patches)):
         tab = cspace.uspace.quad_tables(m, nq1, nq2)
-        kron = tab.S2 > 2
-        patch_geo, *sep = tab.separable_tables() if kron else (tab.patch_geometry(),)
-        for s2 in range(1 if kron else tab.S2):
-            IDX, H11, H22, H12, geo = tab.row_physical(s2, patch_geo)
-            wD = (D * geo["w"] * np.abs(geo["det"]))[:, None, :]
-            loc = ((H11 + nu * H22) * wD) @ H11.transpose(0, 2, 1)
-            loc += ((H22 + nu * H11) * wD) @ H22.transpose(0, 2, 1)
-            loc += (2.0 * (1.0 - nu) * H12 * wD) @ H12.transpose(0, 2, 1)
-            K = IDX.shape[1]
-            parts.append((np.repeat(IDX, K, axis=1).ravel(), np.tile(IDX, (1, K)).ravel(), loc.ravel()))
-        if kron:
-            wz, wx, blocks = sep
-            CF = [np.stack([F[..., 0, :] + nu * F[..., 1, :], F[..., 1, :] + nu * F[..., 0, :],
-                            2.0 * (1.0 - nu) * F[..., 2, :]], axis=-2) * (D * wz)[:, None, None, :]
-                  for _, _, _, _, F, _, _ in blocks]
-            parts += _kronecker_entries(blocks, CF, wx)
+        wz, wx, blocks = tab.separable_tables()
+        CF = [np.stack([F[..., 0, :] + nu * F[..., 1, :], F[..., 1, :] + nu * F[..., 0, :],
+                        2.0 * (1.0 - nu) * F[..., 2, :]], axis=-2) * (D * wz)[:, None, None, :]
+              for _, _, _, F, _, _ in blocks]
+        for shift, part in ((0, slice(0, 1)), (cspace.N, slice(1, None))):
+            starts = [shift + off for off in tab.offsets]
+            cut = [(n1, nj, I, F, J[part], G[:, part]) for n1, nj, I, F, J, G in blocks]
+            parts += _kronecker_entries(starts, cut, CF, wx[part])
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(cspace.N, cspace.N)).tocsc()
+    N2 = 2 * cspace.N
+    return sp.coo_matrix((vals, (rows, cols)), shape=(N2, N2)).tocsc()
 
 
-def _kronecker_entries(blocks, CF, wx):
+def _kronecker_entries(starts, blocks, CF, wx):
     """COO (rows, cols, vals) of sum_{t,u} Z_tu (x) X_tu per block pair
     (a, b) of a patch's ``separable_tables``, with CF[a] = C F_a wz:
     Z_tu = sum CF_a[t] F_b[u], X_tu = sum G_a[t] G_b[u] wx, where both 1D
     supports overlap."""
-    for (sa, n1a, nja, Ia, _, Ja, Ga), CFa in zip(blocks, CF):
+    for sa, (n1a, nja, Ia, _, Ja, Ga), CFa in zip(starts, blocks, CF):
         WG = Ga * wx[:, None, :]
-        for sb, n1b, njb, Ib, Fb, Jb, Gb in blocks:
+        for sb, (n1b, njb, Ib, Fb, Jb, Gb) in zip(starts, blocks):
             iz, kz, Z = _span_grams(Ia, CFa, Ib, Fb, n1a, n1b)
             jx, lx, X = _span_grams(Ja, WG, Jb, Gb, nja, njb)
             yield (np.add.outer(sa + iz * nja, jx).ravel(),
@@ -618,6 +635,26 @@ def _span_grams(Ia, Pa, Ib, Pb, na, nb):
     np.add.at(M, (Ia[:, :, None], Ib[:, None, :]), E.reshape((9,) + E.shape[2:]).transpose(1, 2, 3, 0))
     r, c = np.nonzero(M[:na, :nb].any(axis=2))
     return r.astype(INDEX), c.astype(INDEX), M[r, c]
+
+
+def fold_split(B):
+    """Atilde = Atilde_first + Atilde_rest from B = blockdiag(Atilde_first,
+    Atilde_rest) (2N, 2N), in CSC on the union of both patterns (explicit
+    zeros kept)."""
+    N = B.shape[0] // 2
+    C = B.tocoo()
+    return sp.coo_matrix((C.data, (C.row % N, C.col % N)), shape=(N, N)).tocsc()
+
+
+def split_basis(cspace):
+    """P = [M0c; M0] (2N, N4) in CSC, M0c = M0 with the center columns of
+    every singular group zeroed."""
+    keep = np.ones(cspace.N4)
+    for cols in cspace.m0res.center_cols.values():
+        keep[list(cols)] = 0.0
+    M0c = sp.csc_matrix(cspace.M0.multiply(keep[None, :]))
+    M0c.eliminate_zeros()
+    return sp.vstack([M0c, cspace.M0]).tocsc()
 
 
 def domain_area(cspace, quad=None):

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from reference_kernels import locate_point_bisection
+from reference_kernels import locate_point_bisection, row_physical
 from sbiga import geometry
 from sbiga.errors import GeometryError
 from sbiga.geometry import (
@@ -198,9 +198,8 @@ class TestOneGeometryKernel:
         S1, nq1, nq2 = tab.S1, tab.nq1, tab.nq2
         c = np.random.default_rng(6).standard_normal(uspace.N)
         patch_field = tab.field(c)[:4]
-        patch_geo = tab.patch_geometry()
         for s2 in range(tab.S2):
-            IDX, H11, H22, H12, _ = tab.row_physical(s2, patch_geo)
+            IDX, H11, H22, H12, _ = row_physical(tab, s2)
             # the patch grid's columns s2*nq2 .. (s2+1)*nq2 are row s2
             field = [f[:, s2 * nq2 : (s2 + 1) * nq2] for f in patch_field]
             # row point q = q1 * nq2 + q2 of zeta span s1

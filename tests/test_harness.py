@@ -518,11 +518,8 @@ class TestLBracketSolve:
         assert cs.N6 == A.shape[0] == 848
         np.linalg.cholesky(A.toarray())  # raises unless positive definite
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "|A - A^T| / |A| is 2.0e-12: Atilde is symmetric to 1.7e-16, but the "
-        "congruence through M0 sums large center-row entries that cancel "
-        "(5.2e-13 after M0, 2.0e-12 after M1)"))
     def test_stiffness_symmetric(self, case):
+        # 1.6e-15 with exact center rows; the cancellation through M0 gave 2.0e-12
         _, A, _ = case
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 

@@ -16,10 +16,12 @@ from reference_kernels import (
     assert_same_m0,
     coo_uncoupled_stiffness,
     domain_area,
-    gemm_uncoupled_stiffness,
+    fold_split,
     gram_rank,
+    row_basis,
     row_geometry,
     row_physical,
+    split_basis,
 )
 from sbiga import space as sbiga_space
 from sbiga.coupling import (
@@ -93,28 +95,18 @@ class TestAssembleStiffness:
         assert d.max() <= 1e-12 * abs(A).max()
 
     def test_nu_zero_matches_reduced_integrand_bitwise(self):
-        # general path at nu=0 vs the kernel without the nu terms, both
-        # through the CSC writer: the GEMMs of every row at S2 = 2; at
-        # S2 = 4 those of the first row and past it the Kronecker sums with
-        # C = D diag(1, 1, 2)
+        # general c_rows at nu=0 vs C = D diag(1, 1, 2) without the nu
+        # terms, both through the CSC writer, at S2 = 2 and 4
         mat0 = PlateMaterial(E=1.0, nu=0.0, D=2.5)
-
-        def element(H11, H22, H12, wD):
-            loc = (H11 * wD) @ H11.transpose(0, 2, 1)
-            loc += (H22 * wD) @ H22.transpose(0, 2, 1)
-            loc += (2.0 * H12 * wD) @ H12.transpose(0, 2, 1)
-            return loc
-
         for s in (2, 4):
             cs = build_coupled_space(fan2(degree=2).with_segments(s, s, 1))
             A = _uncoupled_stiffness(cs, mat0)
-            B = _csc_stiffness(cs, mat0.D, element, lambda F: F * np.array([1.0, 1.0, 2.0])[:, None])
+            B = _csc_stiffness(cs, mat0.D, lambda F: F * np.array([1.0, 1.0, 2.0])[:, None])
             assert_same_bytes((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr))
 
     def test_geometry_evaluated_once_per_patch(self, monkeypatch):
-        # the first radial span row and the q = 1 factors of the Kronecker
-        # rows share one evaluation of the SB map per patch (one per row
-        # would be S2 = 16)
+        # the Kronecker factors of every radial span take one evaluation of
+        # the SB map per patch, at q = 1 (one per span row would be S2 = 16)
         cs = build_combined_space(square4(degree=5, bc={"all": "clamped"}), 16, 1)
         calls = []
         sb_geometry = sbiga_space.sb_geometry
@@ -163,21 +155,33 @@ class TestAssembleStiffness:
         assert abs(l2[1] / l2[0] - 1.0) < 0.01
 
     def test_congruence_realization_matches_oracle_chain(self):
-        # clamped p=4, s=16 sits on the roundoff floor that the orientation
-        # and association of the congruence set: against
-        # A = M1^T ((M0^T Atilde) M0) M1 the L2 error moved by +64 % with
-        # Atilde^T in place of Atilde (fitted L2 order 4.76), by +27 % with
-        # M0^T (Atilde M0), and by -54 % with A4^T or A^T in place of A4 or
-        # A (order 5.47); another summation order of the duplicates, or
-        # M1^T (A4 M1), moved it by <= 0.03 %
+        # clamped p=4, s=16, against the split through the COO assembly and
+        # the CSR chain (measured -0.004 %): with exact center rows, B^T,
+        # P^T (B P), A4^T or A^T in place of B, (P^T B) P, A4 or A move the
+        # L2 error by -0.027, +0.005, -0.006 and +0.010 %, where the
+        # cancellation through M0 made it move by +64, +27 and -54 %
         exact = cos2_square()
         mat = PlateMaterial(E=1e4, nu=0.0, D=1.0)
         loads = LoadSpec(surface=manufactured_rhs(exact, mat.D))
         cs = build_coupled_space(square4(degree=4, bc={"all": "clamped"}).with_segments(16, 16, 1))
-        A = (cs.M1.T @ ((cs.M0.T @ coo_uncoupled_stiffness(cs, mat)) @ cs.M0) @ cs.M1).tocsc()
+        P = split_basis(cs)
+        A = (cs.M1.T @ ((P.T @ coo_uncoupled_stiffness(cs, mat)) @ P) @ cs.M1).tocsc()
         x, res, est = solve(A, assemble_load(cs, loads))
         ref = error_norms(Solution(cs, x, mat, loads, res, est), exact).l2
         assert abs(error_norms(solve_plate(cs, mat, loads), exact).l2 / ref - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for p in [*(ROOT / "configs").glob("*.json"), *(ROOT / "perfbench/configs").glob("*.json")]))
+def test_stiffness_symmetric_on_every_config_level(path):
+    # the center functions' first-span energy is an exact zero, not a
+    # cancellation through M0: <= 1.6e-15 measured on every level (the
+    # cancellation gave 2.0e-12 on the L-bracket)
+    cfg = CaseConfig.from_file(str(ROOT / path))
+    base, _ = cfg.build_base_domain()
+    for s in cfg.segments:
+        A = assemble_stiffness(cfg.build_space(base, s), cfg.material)
+        assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
 
 
 class TestAssembleLoad:
@@ -256,9 +260,9 @@ class TestIndexType:
         assert idx.dtype == np.int32
 
     def test_stiffness_traced_peak_below_two_and_a_quarter_matrices(self, stabilized):
-        # Atilde written into CSC and both congruences in CSC, each product
-        # freed once the next is formed: 1.86 nbytes(A); the COO parts, their
-        # CSC conversion and the CSR copies took 2.9
+        # B written into CSC and both congruences in CSC, each product freed
+        # once the next is formed: 1.89 nbytes(A); the COO parts, their CSC
+        # conversion and the CSR copies took 2.9
         cfg, cs = stabilized
         assemble_stiffness(cs, cfg.material)  # the quadrature tables stay on the space
         tracemalloc.start()
@@ -270,7 +274,7 @@ class TestIndexType:
         assert peak <= 2.25 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
     def test_uncoupled_stiffness_traced_peak_below_one_and_three_quarter_matrices(self, stabilized):
-        # the CSC writer: 1.56 nbytes(Atilde); the COO index arrays, their
+        # the CSC writer: 1.49 nbytes(B); the COO index arrays, their
         # concatenation and the COO -> CSC conversion took 4.0
         cfg, cs = stabilized
         _uncoupled_stiffness(cs, cfg.material)
@@ -649,7 +653,7 @@ def _einsum_load(cs, g):
     for m in range(len(cs.domain.patches)):
         tab = cs.uspace.quad_tables(m, nq, nq)
         for s2 in range(tab.S2):
-            IDX, A = tab.row_basis(s2, ("V",))
+            IDX, A = row_basis(tab, s2, ("V",))
             geo = row_geometry(tab, s2)
             w = geo["w"] * np.abs(geo["det"]) * g(geo["px"], geo["py"])
             np.add.at(ftil, IDX.ravel(), np.einsum("saq,sq->sa", A["V"], w).ravel())
@@ -664,7 +668,7 @@ def _einsum_errors(sol, exact):
         tab = cs.uspace.quad_tables(m, nq, nq)
         for s2 in range(tab.S2):
             IDX, H11, H22, H12, geo = row_physical(tab, s2)
-            V = tab.row_basis(s2, ("V",))[1]["V"]
+            V = row_basis(tab, s2, ("V",))[1]["V"]
             w = geo["w"] * np.abs(geo["det"])
             c = sol.ctil[IDX]
             uh = np.einsum("sa,saq->sq", c, V)
@@ -693,9 +697,9 @@ class TestKernelOracles:
     mat = PlateMaterial(E=1.0, nu=0.3, D=1.7)
 
     def test_stiffness_matches_einsum(self, kernel_case):
-        # compared before the congruence: M0 sums large center-row entries
-        # of Atilde that cancel, which scales element roundoff up ~1000x
-        A = _uncoupled_stiffness(kernel_case, self.mat)
+        # compared before the congruence, where the center rows of M0 would
+        # scale the element roundoff of the first span
+        A = fold_split(_uncoupled_stiffness(kernel_case, self.mat))
         B = _einsum_uncoupled_stiffness(kernel_case, self.mat)
         assert abs(A - B).max() <= 1e-13 * abs(B).max()
 
@@ -713,40 +717,16 @@ class TestKernelOracles:
         ref = _einsum_load(kernel_case, g)
         assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_first_span_columns_match_all_gemm_bitwise(self):
-        # the radial layers j <= p-2 are supported on the first span only,
-        # which keeps its GEMMs, so their columns of Atilde are the all-GEMM
-        # ones bit for bit; the other columns agree to roundoff per row
-        for cs in (
-            build_coupled_space(square4(degree=4, bc={"all": "clamped"}).with_segments(16, 16, 1)),
-            build_combined_space(square4(degree=5, bc={"all": "clamped"}), 8, 1),
-        ):
-            A = _uncoupled_stiffness(cs, self.mat)
-            B = gemm_uncoupled_stiffness(cs, self.mat)
-            us, p = cs.uspace, cs.domain.p
-            first = [
-                us.flat(m, b, i, jloc)
-                for m, per in enumerate(us.blocks)
-                for b, blk in enumerate(per)
-                for i in range(blk.n1)
-                for jloc in range(max(0, p - 1 - blk.j_lo))
-            ]
-            assert len(first) > 0
-            Af, Bf = A[:, first], B[:, first]
-            assert_same_bytes((Af.data, Bf.data), (Af.indices, Bf.indices), (Af.indptr, Bf.indptr))
-            rowmax = abs(B).max(axis=1).toarray().ravel()
-            assert np.all(abs(A - B).max(axis=1).toarray().ravel() <= 1e-14 * rowmax)
-
     def test_scaled_patch_matches_einsum(self):
         # c1 != 1, with c2 > 0 or c2 = 0: the load and the error norms take
         # the patch's scaling through their geometry on the whole Gauss
-        # grid, the stiffness past the first radial span through q in its
-        # radial weights and c1 in det J(q=1)
+        # grid, the stiffness through q in its radial weights and c1 in
+        # det J(q=1)
         c = line_curve((0.0, 1.0), (1.0, 1.0), 3)
         g = lambda x, y: np.sin(3.0 * x) + y**2 + 0.5
         for c1, c2 in ((0.5, 0.5), (2.0, 0.0)):
             cs = build_coupled_space(make_domain([SBPatch(c, (0.5, 0.0), c1=c1, c2=c2)]).with_segments(4, 4, 1))
-            A = _uncoupled_stiffness(cs, self.mat)
+            A = fold_split(_uncoupled_stiffness(cs, self.mat))
             B = _einsum_uncoupled_stiffness(cs, self.mat)
             assert abs(A - B).max() <= 1e-13 * abs(B).max()
             ref = _einsum_load(cs, g)
@@ -792,7 +772,7 @@ class TestRandomStarPolygons:
         A = assemble_stiffness(cs, mat)
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
         np.linalg.cholesky(A.toarray())  # raises unless positive definite
-        At = _uncoupled_stiffness(cs, mat)
+        At = fold_split(_uncoupled_stiffness(cs, mat))
         B = _einsum_uncoupled_stiffness(cs, mat)
         assert abs(At - B).max() <= 1e-13 * abs(B).max()
 
